@@ -24,8 +24,10 @@ apples-to-apples.
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
-from typing import Generator, List, Optional
+from itertools import count, islice
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..cf.cache import CacheStructure
 from ..config import DatabaseConfig
@@ -61,6 +63,13 @@ class BufferManager:
         self.trace = trace  # Tracer or None (zero-cost when disabled)
         self._pool: "OrderedDict[object, _Buffer]" = OrderedDict()
         self._free_slots: List[int] = list(range(config.buffer_pages))
+        # clean-page index (see _oldest_clean): LRU stamps of the pooled
+        # pages and a min-heap of (stamp, page) over the clean ones.  Built
+        # on the first steal that meets a dirty LRU head; until then it is
+        # None and no buffer pays for it.
+        self._stamps: Optional[Dict[object, int]] = None
+        self._clean_heap: List[Tuple[int, object]] = []
+        self._tick = count()
         # statistics
         self.local_hits = 0
         self.coherency_misses = 0
@@ -91,17 +100,17 @@ class BufferManager:
         if buf is None:
             return None
         xes = self.xes
-        if xes is None:
-            self._pool.move_to_end(page)
-            self.local_hits += 1
-            return "local"
-        if not xes.connector.active:
-            return None  # let get_page raise SystemDown as before
-        if xes.structure.vector_of(xes.connector).test(buf.slot):
-            self._pool.move_to_end(page)
-            self.local_hits += 1
-            return "local"
-        return None  # cross-invalidated: get_page pays the refresh
+        if xes is not None:
+            if not xes.connector.active:
+                return None  # let get_page raise SystemDown as before
+            if not xes.structure.vector_of(xes.connector).test(buf.slot):
+                return None  # cross-invalidated: get_page pays the refresh
+        # _to_mru(page), inlined on the transaction inner loop
+        self._pool.move_to_end(page)
+        if self._stamps is not None:
+            self._stamps[page] = next(self._tick)
+        self.local_hits += 1
+        return "local"
 
     def get_page(self, page: object) -> Generator:
         """Process step: make ``page`` current in a local buffer.
@@ -115,7 +124,7 @@ class BufferManager:
             raise SystemDown(self.node.name)
         buf = self._pool.get(page)
         if buf is not None:
-            self._pool.move_to_end(page)
+            self._to_mru(page)
             if not self.data_sharing:
                 self.local_hits += 1
                 return "local"
@@ -143,34 +152,96 @@ class BufferManager:
         return source
 
     def _allocate(self, page: object):
-        """Find a slot for ``page``; returns (buffer, stolen_page_or_None)."""
+        """Find a slot for ``page``; returns (buffer, stolen_page_or_None).
+
+        The victim is the oldest clean page in LRU order; when every
+        pooled page is dirty the pool grows by one buffer instead.
+        """
         old_name = None
+        pool = self._pool
         if self._free_slots:
             slot = self._free_slots.pop()
         else:
-            victim_page, victim = self._pool.popitem(last=False)
+            victim_page, victim = pool.popitem(last=False)
             if victim.dirty:
                 # with force-at-commit this cannot happen in data-sharing
                 # mode; in non-sharing mode the deferred writer owns dirty
-                # pages, so push it back and steal the next-oldest clean one
-                self._pool[victim_page] = victim
-                self._pool.move_to_end(victim_page, last=False)
-                clean_page = next(
-                    (p for p, b in self._pool.items() if not b.dirty), None
-                )
-                if clean_page is None:
+                # pages, so push it back and steal the oldest clean one
+                pool[victim_page] = victim
+                pool.move_to_end(victim_page, last=False)
+                victim_page = self._oldest_clean()
+                if victim_page is None:
                     # everything dirty: temporarily extend the pool
-                    slot = self.config.buffer_pages + len(self._pool)
-                    buf = _Buffer(page, slot)
-                    self._pool[page] = buf
-                    return buf, None
-                victim = self._pool.pop(clean_page)
-                victim_page = clean_page
+                    slot = self.config.buffer_pages + len(pool)
+                    return self._insert(page, slot), None
+                victim = pool.pop(victim_page)
+            if self._stamps is not None:
+                del self._stamps[victim_page]
             slot = victim.slot
             old_name = victim_page if self.data_sharing else None
+        return self._insert(page, slot), old_name
+
+    def _insert(self, page: object, slot: int) -> _Buffer:
+        """Pool a new, clean buffer for ``page`` at the MRU end."""
         buf = _Buffer(page, slot)
         self._pool[page] = buf
-        return buf, old_name
+        stamps = self._stamps
+        if stamps is not None:
+            stamp = stamps[page] = next(self._tick)
+            self._index_clean(stamp, page)
+        return buf
+
+    def _to_mru(self, page: object) -> None:
+        """Move a pooled page to the MRU end of the LRU chain."""
+        self._pool.move_to_end(page)
+        if self._stamps is not None:
+            self._stamps[page] = next(self._tick)
+
+    # -- clean-page index ------------------------------------------------------
+    # The pool's order is its LRU chain; once the index exists every move
+    # to the MRU end takes the next stamp, so stamps rise along the chain.
+    # Every clean pooled page has at least one heap entry whose stamp is at
+    # most its current stamp: an entry goes stale when its page is touched,
+    # dirtied or stolen, and stale entries are dropped or re-filed only when
+    # they reach the top of the heap.  So a steal costs O(log pool)
+    # amortized, not a walk of the dirty run at the cold end.
+    def _index_pool(self) -> None:
+        """(Re)build the index from the pool: the chain is already in
+        stamp order, so the clean entries form a sorted list, which is a
+        valid heap without a sort.  Also compacts a heap that has grown
+        past twice the pool."""
+        pool = self._pool
+        self._stamps = dict(zip(pool, count()))
+        self._clean_heap = [(stamp, page) for stamp, (page, buf)
+                            in enumerate(pool.items()) if not buf.dirty]
+        self._tick = count(len(pool))
+
+    def _index_clean(self, stamp: int, page: object) -> None:
+        heap = self._clean_heap
+        heapq.heappush(heap, (stamp, page))
+        if len(heap) > 2 * len(self._pool):
+            self._index_pool()
+
+    def _oldest_clean(self) -> Optional[object]:
+        """The oldest clean page in LRU order, or None if all are dirty.
+
+        Pops the page's own heap entry; the caller steals the page."""
+        if self._stamps is None:
+            self._index_pool()
+        stamps, heap, pool = self._stamps, self._clean_heap, self._pool
+        while heap:
+            stamp, page = heap[0]
+            current = stamps.get(page)
+            if current is None or pool[page].dirty:
+                # stolen, or dirty: its next clean transition re-files it
+                heapq.heappop(heap)
+            elif current != stamp:
+                # touched since filed: re-file it at its current age
+                heapq.heapreplace(heap, (current, page))
+            else:
+                heapq.heappop(heap)
+                return page
+        return None
 
     def _register_and_fill(self, page: object, slot: int,
                            buf_old_name: Optional[object]) -> Generator:
@@ -214,7 +285,15 @@ class BufferManager:
         if buf is None:
             raise KeyError(f"page {page!r} not in pool — read before write")
         buf.dirty = True
-        self._pool.move_to_end(page)
+        self._to_mru(page)
+
+    def mark_clean(self, buf: _Buffer) -> None:
+        """The one dirty→clean transition: ``buf``'s page is externalized
+        (CF write at commit, or deferred DASD write).  A dirty buffer is
+        never stolen, so ``buf`` is still pooled."""
+        buf.dirty = False
+        if self._stamps is not None:
+            self._index_clean(self._stamps[buf.page], buf.page)
 
     def commit_writes(self, pages) -> Generator:
         """Process step: externalize a transaction's changed pages.
@@ -224,39 +303,41 @@ class BufferManager:
         serialization on the shared data block" right after).  Non-sharing:
         nothing synchronous — the deferred writer will flush.
         """
+        if not self.data_sharing:
+            return  # pages stay dirty for the deferred writer
         for page in pages:
             buf = self._pool.get(page)
             if buf is None or not buf.dirty:
                 continue
-            if self.data_sharing:
-                cache, conn = self.cache, self.xes.connector
-                yield from self.xes.sync(
-                    lambda p=page: cache.write_and_invalidate(conn, p),
-                    mirror=lambda s, c, p=page: s.write_and_invalidate(c, p),
-                    out_bytes=PAGE_BYTES,
-                    data=True,
-                    signal_wait=True,
-                )
-                self.pages_written += 1
-            buf.dirty = False if self.data_sharing else True
+            cache, conn = self.cache, self.xes.connector
+            yield from self.xes.sync(
+                lambda p=page: cache.write_and_invalidate(conn, p),
+                mirror=lambda s, c, p=page: s.write_and_invalidate(c, p),
+                out_bytes=PAGE_BYTES,
+                data=True,
+                signal_wait=True,
+            )
+            self.pages_written += 1
+            self.mark_clean(buf)
 
     def dirty_pages(self) -> List[object]:
         return [p for p, b in self._pool.items() if b.dirty]
 
     def flush_deferred(self, limit: int = 64) -> Generator:
-        """Process step: non-sharing deferred write of dirty pages."""
-        flushed = 0
-        for page in self.dirty_pages():
-            if flushed >= limit:
-                break
-            buf = self._pool.get(page)
-            if buf is None or not buf.dirty:
-                continue
-            buf.dirty = False
-            yield from self.farm.write_page(page, priority=5)
+        """Process step: non-sharing deferred write of the ``limit``
+        oldest dirty pages in LRU order."""
+        # Only the first ``limit`` dirty pages are collected, not the whole
+        # pool's.  That writes exactly what a full snapshot would: without
+        # a CF nothing but this writer cleans a dirty page, and a dirty page
+        # is never stolen, so every page collected here is still pooled and
+        # dirty when its turn comes and none is ever skipped.
+        batch = list(islice((b for b in self._pool.values() if b.dirty),
+                            limit))
+        for buf in batch:
+            self.mark_clean(buf)
+            yield from self.farm.write_page(buf.page, priority=5)
             self.pages_written += 1
-            flushed += 1
-        return flushed
+        return len(batch)
 
     def prewarm(self, pages) -> int:
         """Seed the pool with ``pages`` at zero simulated cost.
@@ -272,6 +353,8 @@ class BufferManager:
             if not free or page in pool:
                 continue
             slot = free.pop()
+            # no _insert: a pool with a free slot has never stolen, so it
+            # has no clean-page index to file the page in
             pool[page] = _Buffer(page, slot)
             pairs.append((page, slot))
         if pairs and self.data_sharing:

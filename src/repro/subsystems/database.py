@@ -184,7 +184,7 @@ class DatabaseManager:
                         signal_wait=True,
                     )
                     buffers.pages_written += 1
-                    buf.dirty = False
+                    buffers.mark_clean(buf)
             elif xes is not None:
                 cache = xes.structure
                 conn = xes.connector
@@ -200,7 +200,7 @@ class DatabaseManager:
                         signal_wait=True,
                     )
                     buffers.pages_written += 1
-                    buf.dirty = False
+                    buffers.mark_clean(buf)
             log.log_end(owner)
             yield from locks.unlock_all(owner)
             self.commits += 1

@@ -40,6 +40,7 @@ TAB1_BASE_EVENTS_PER_TXN = 60.5
 
 GOLDEN_GRID = Path(__file__).parent / "data" / "golden_grid.json"
 GOLDEN_DUPLEX = Path(__file__).parent / "data" / "golden_duplex.json"
+GOLDEN_SMALLPOOL = Path(__file__).parent / "data" / "golden_smallpool.json"
 
 
 def _run(cfg, duration=0.25, warmup=0.15, options=None):
@@ -178,6 +179,27 @@ def test_verify_profile_reproduces_golden_duplex():
         sha, payload = _payload_sha(spec)
         assert sha == point["payload_sha256"], point["label"]
         assert payload["data"]["summary"]["completed"] == point["completed"]
+
+
+def test_small_pool_nonsharing_reproduces_golden():
+    """The steal past a dirty LRU head is byte-pinned: no grid point
+    reaches one, so a 1,500-buffer non-sharing point whose cold end
+    turns all-dirty replays its golden payload hash."""
+    from dataclasses import replace
+
+    from repro.runspec import RunSpec
+
+    fixture = json.loads(GOLDEN_SMALLPOOL.read_text())
+    for point in fixture["points"]:
+        base = scaled_config(1, 1, data_sharing=False, seed=point["seed"])
+        config = replace(base, db=replace(
+            base.db, buffer_pages=point["buffer_pages"]))
+        spec = RunSpec(config=config, duration=point["duration"],
+                       warmup=point["warmup"], options=RunOptions(),
+                       label=point["label"])
+        sha, payload = _payload_sha(spec)
+        assert sha == point["payload_sha256"], point["label"]
+        assert payload["data"]["completed"] == point["completed"]
 
 
 def test_sweep_default_statistically_neutral_vs_golden():

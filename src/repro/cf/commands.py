@@ -23,8 +23,14 @@ timeout; a trip that times out or dies with an interface control check
 backoff over a surviving link, up to ``request_retries`` times.  The
 structure mutation is executed at most once across redrives (the
 response, not the command, is what was lost).  With the default
-``request_timeout=None`` the single-attempt fast path below runs
-unchanged — no extra events, no behavioural drift for non-chaos runs.
+``request_timeout=None`` each command makes one plain attempt — no
+extra events, no behavioural drift for non-chaos runs.
+
+**Two sync paths.**  The general path is the only one that carries
+redrive and span tracing.  Under the ``sweep`` profile a port
+without either runs the *collapsed* frame instead: the same instants
+and resource accounting in 3 calendar events instead of 8 (see
+:meth:`CfPort.sync`).
 """
 
 from __future__ import annotations
@@ -41,27 +47,6 @@ from .facility import CfFailedError, CouplingFacility
 
 __all__ = ["CfPort", "CfRequestTimeout", "mirror_sync", "mirror_async"]
 
-#: Global kill switch for the flattened fast path (checked at port
-#: construction).  Tests flip it to prove fast and general paths produce
-#: identical results; production code leaves it on.
-FAST_PATH = True
-
-#: Opt-in event-collapsed variant of the fast path.  When the whole stack
-#: is idle it merges the issue+latency+transfer head and the
-#: signal+latency tail into single absolute-time events (8 -> 5 calendar
-#: events per sync command).  Event *times* and resource state are
-#: bit-identical to the general path, but merged events are *created*
-#: earlier, so at saturation — where the workload's constant costs
-#: phase-lock many commands onto the exact same float instants — two
-#: commands arriving at the CF in the same instant can pop in a different
-#: order than the general path when one of them went general (async, or
-#: subchannel-contended fallback).  That reordering is statistically
-#: neutral but not byte-identical, so the collapse is off by default;
-#: flip it for maximum event throughput when exact replay of a general-
-#: path run is not required.
-COLLAPSE = False
-
-
 class CfRequestTimeout(Exception):
     """A CF request exhausted its timeout/retry budget without completing."""
 
@@ -72,7 +57,7 @@ class CfPort:
     def __init__(self, node: SystemNode, cf: CouplingFacility,
                  links: LinkSet, config: CfConfig, trace=None,
                  retry_rng: Optional[np.random.Generator] = None,
-                 collapse: Optional[bool] = None):
+                 collapse: bool = False):
         self.node = node
         self.cf = cf
         self.links = links
@@ -84,7 +69,8 @@ class CfPort:
         self.retry_rng = retry_rng
         self.sync_ops = 0
         self.async_ops = 0
-        #: sync commands that completed via the collapsed fast path
+        #: sync commands that completed in the collapsed frame (0 unless
+        #: the collapse gate is on; subchannel fallbacks are not counted)
         self.fast_syncs = 0
         #: robustness counters (only move when request_timeout is set)
         self.timeouts = 0
@@ -92,28 +78,22 @@ class CfPort:
         self.retries = 0
         # Per-port constants, resolved once at wiring time instead of per
         # command.  ``_issue_inflated`` memoizes the MP-inflation product
-        # (a float pow per call otherwise); the rest are attribute-chain
-        # flattening.  Each is used by *both* paths with the exact
-        # expression shape of the original per-command computation, so the
-        # resulting floats are bit-identical.
+        # (a float pow per call otherwise) for both paths; the rest
+        # flatten attribute chains for the collapsed frame, with the exact
+        # expression shapes of the general path's per-command computation,
+        # so the resulting floats are bit-identical.
         self._issue_inflated = config.sync_issue_cpu * node.cpu.config.inflation()
         self._latency = links.config.latency
         self._bandwidth = links.config.bandwidth
         self._cmd_service = config.cmd_service
         self._data_cmd_service = config.data_cmd_service
         self._signal_latency = config.signal_latency
-        #: the fast path engages only when there is nothing it could hide:
-        #: no request-level robustness (chaos) and no span tracer on either
-        #: end of the command (attach tracers at construction time)
-        self._fast = (FAST_PATH and config.request_timeout is None
-                      and trace is None and cf.trace is None)
-        # per-port collapse policy: an explicit True/False (threaded down
-        # from RunOptions via Sysplex/XesServices) wins; None falls back
-        # to the module default so direct CfPort construction — and the
-        # tests that monkeypatch COLLAPSE — keep their old meaning.  The
-        # collapse can only ever engage where the fast path may.
-        self._collapse = (COLLAPSE if collapse is None else collapse) \
-            and self._fast
+        #: the collapse gate: the collapsed frame engages only when there
+        #: is nothing it could hide — no request-level robustness (chaos)
+        #: and no span tracer on either end of the command (attach tracers
+        #: at construction time)
+        self._collapse = (collapse and config.request_timeout is None
+                          and trace is None and cf.trace is None)
 
     # -- internals ----------------------------------------------------------
     def _service(self, fn: Callable[[], Any], data: bool, signal_wait: bool,
@@ -209,7 +189,8 @@ class CfPort:
     def _trip(self, fn: Callable[[], Any], out_bytes: int, in_bytes: int,
               data: bool, signal_wait: bool, box: list,
               service_factor: float) -> Generator:
-        """The link round trip: plain fast path, or robust when enabled."""
+        """The link round trip: one plain attempt, or the robust redriven
+        trip when ``request_timeout`` is set."""
         if self.config.request_timeout is None:
             link = self.links.pick()
             yield from link.occupy(
@@ -219,59 +200,6 @@ class CfPort:
         else:
             yield from self._robust_trip(fn, out_bytes, in_bytes, data,
                                          signal_wait, box, service_factor)
-
-    # -- the flattened fast path --------------------------------------------
-    def _plain_trip(self, fn: Callable[[], Any], out_bytes: int,
-                    in_bytes: int, data: bool, signal_wait: bool, box: list,
-                    service_factor: float) -> Generator:
-        """The general round trip with its generator stack flattened.
-
-        Byte-identical to ``_trip`` with ``request_timeout=None`` — the
-        same resource requests, the same timeouts with the same float
-        arithmetic, the same checks at the same instants — but in one
-        generator frame instead of four (``_trip`` -> ``occupy`` ->
-        ``_service`` -> ``execute``), with per-port constants instead of
-        per-command attribute chains.
-        """
-        sim = self.sim
-        cf = self.cf
-        link = self.links.pick()
-        sreq = link.subchannels.request()
-        try:
-            yield sreq
-            if not link.operational:
-                raise InterfaceControlCheck(link.name)
-            yield sim.timeout(
-                self._latency + (out_bytes + in_bytes) / self._bandwidth
-            )
-            if not link.operational:
-                raise InterfaceControlCheck(link.name)
-            if cf.failed:
-                raise CfFailedError(cf.name)
-            preq = cf.processors.request()
-            try:
-                yield preq
-                if cf.failed:
-                    raise CfFailedError(cf.name)
-                yield sim.timeout(
-                    service_factor * self._cmd_service
-                    + (self._data_cmd_service if data else 0.0)
-                )
-                if cf.failed:
-                    raise CfFailedError(cf.name)
-                cf.commands_executed += 1
-            finally:
-                preq.cancel()
-            box.append(fn())
-            if signal_wait:
-                # CF responds only after observing signal completion
-                yield sim.timeout(self._signal_latency)
-            yield sim.timeout(self._latency)
-            if not link.operational:
-                raise InterfaceControlCheck(link.name)
-            link.ops += 1
-        finally:
-            sreq.cancel()
 
     # -- synchronous --------------------------------------------------------
     def sync(self, fn: Callable[[], Any], out_bytes: int = 64,
@@ -286,171 +214,113 @@ class CfPort:
         if not self.node.alive:
             raise SystemDown(self.node.name)
         box: list = []
-        if self._fast:
-            if self._collapse:
-                # Collapsed fast path, fused into this frame: the whole
-                # round trip runs here with *scalar* resource holds — an
-                # idle engine, subchannel, or CF processor is claimed as a
-                # bare occupancy count (no Request object, no grant event,
-                # no ``yield``) — and every merged stop lands on the
-                # bit-identical float instant the general event chain
-                # would have produced (absolute-time scheduling via
-                # ``timeout_at``; same expression shapes for every sum).
-                # A busy stage falls back to the general queueing from
-                # the exact same instant.  Net: 3 calendar events instead
-                # of 8 and no per-stage allocation — see ``COLLAPSE`` for
-                # the intra-instant ordering caveat that keeps this
-                # variant opt-in.
-                sim = self.sim
-                cpu = self.node.cpu
-                engines = cpu.engines
-                ereq = None
-                if not engines.claim():
-                    ereq = engines.request()
-                start = -1.0
-                try:
-                    if ereq is not None:
-                        yield ereq
-                    start = sim._now
-                    link = None
-                    try:
-                        link = self.links.pick()
-                    except LinkDownError:
-                        pass
-                    if link is None or not link.subchannels.claim():
-                        # subchannel contention (or no operational link):
-                        # general path from here — its own pick() at
-                        # issue-complete time, its own queueing and error
-                        # timing
-                        yield sim.timeout(self._issue_inflated)
-                        yield from self._plain_trip(fn, out_bytes,
-                                                    in_bytes, data,
-                                                    signal_wait, box,
-                                                    service_factor)
-                        self.sync_ops += 1
-                        return box[0]
-                    subchannels = link.subchannels
-                    try:
-                        # engine-grant time -> command arrival at the CF:
-                        # issue CPU, then one-way latency + transfer, one
-                        # merged event
-                        transfer = (out_bytes + in_bytes) / self._bandwidth
-                        t_arrive = (sim._now + self._issue_inflated) \
-                            + (self._latency + transfer)
-                        yield sim.timeout_at(t_arrive)
-                        if not link.operational:
-                            raise InterfaceControlCheck(link.name)
-                        cf = self.cf
-                        if cf.failed:
-                            raise CfFailedError(cf.name)
-                        svc = service_factor * self._cmd_service + (
-                            self._data_cmd_service if data else 0.0
-                        )
-                        # CF processor: idle -> scalar claim (same
-                        # busy-area accounting, same instants);
-                        # contended -> the command queues exactly as
-                        # ``CouplingFacility.execute`` would
-                        procs = cf.processors
-                        if procs.claim():
-                            try:
-                                yield sim.timeout(svc)
-                            finally:
-                                procs.unclaim()
-                        else:
-                            preq = procs.request()
-                            try:
-                                yield preq
-                                if cf.failed:
-                                    raise CfFailedError(cf.name)
-                                yield sim.timeout(svc)
-                            finally:
-                                preq.cancel()
-                        if cf.failed:
-                            raise CfFailedError(cf.name)
-                        cf.commands_executed += 1
-                        # structure mutation at the exact
-                        # service-completion instant (it may schedule XI
-                        # signals from "now")
-                        box.append(fn())
-                        # optional signal-completion wait + return latency
-                        if signal_wait:
-                            t_done = (sim._now + self._signal_latency) \
-                                + self._latency
-                        else:
-                            t_done = sim._now + self._latency
-                        yield sim.timeout_at(t_done)
-                        if not link.operational:
-                            raise InterfaceControlCheck(link.name)
-                        link.ops += 1
-                        self.fast_syncs += 1
-                    finally:
-                        subchannels.unclaim()
-                finally:
-                    if start >= 0.0:
-                        cpu.busy_seconds += sim._now - start
-                    if ereq is None:
-                        engines.unclaim()
-                    else:
-                        ereq.cancel()
-                self.sync_ops += 1
-                return box[0]
-            # Flattened fast path: the whole round trip in this one frame.
-            # Event-for-event and float-for-float identical to the general
-            # branch below — the win is the Python that *isn't* here: four
-            # nested generator frames, per-command attribute chains, an
-            # MP-inflation pow, and tracer branches.
+        if self._collapse:
+            # Collapsed frame (the ``sweep`` profile): the whole round
+            # trip runs here with *scalar* resource holds — an idle
+            # engine, subchannel, or CF processor is claimed as a bare
+            # occupancy count (no Request object, no grant event, no
+            # ``yield``) — and every merged stop lands on the bit-identical
+            # float instant the general event chain would have produced
+            # (absolute-time scheduling via ``timeout_at``; same expression
+            # shapes for every sum).  A busy CF processor queues from the
+            # exact same instant; a busy subchannel hands the trip to the
+            # general path.  Net: 3 calendar events instead of 8 and no
+            # per-stage allocation.  Merged events are *created* earlier,
+            # so at saturation — where constant costs phase-lock commands
+            # onto the same float instants — two commands reaching the CF
+            # in one instant can pop in a different order than on the
+            # general path: statistically neutral, not byte-identical to
+            # ``verify``.
             sim = self.sim
-            cf = self.cf
             cpu = self.node.cpu
-            req = cpu.engines.request()
+            engines = cpu.engines
+            ereq = None
+            if not engines.claim():
+                ereq = engines.request()
             start = -1.0
             try:
-                yield req
+                if ereq is not None:
+                    yield ereq
                 start = sim._now
-                yield sim.timeout(self._issue_inflated)
-                link = self.links.pick()
-                sreq = link.subchannels.request()
+                link = None
                 try:
-                    yield sreq
+                    link = self.links.pick()
+                except LinkDownError:
+                    pass
+                if link is None or not link.subchannels.claim():
+                    # subchannel contention (or no operational link):
+                    # general path from here — its own pick() at
+                    # issue-complete time, its own queueing and error
+                    # timing
+                    yield sim.timeout(self._issue_inflated)
+                    yield from self._trip(fn, out_bytes, in_bytes, data,
+                                          signal_wait, box, service_factor)
+                    self.sync_ops += 1
+                    return box[0]
+                subchannels = link.subchannels
+                try:
+                    # engine-grant time -> command arrival at the CF:
+                    # issue CPU, then one-way latency + transfer, one
+                    # merged event
+                    transfer = (out_bytes + in_bytes) / self._bandwidth
+                    t_arrive = (sim._now + self._issue_inflated) \
+                        + (self._latency + transfer)
+                    yield sim.timeout_at(t_arrive)
                     if not link.operational:
                         raise InterfaceControlCheck(link.name)
-                    yield sim.timeout(
-                        self._latency
-                        + (out_bytes + in_bytes) / self._bandwidth
-                    )
-                    if not link.operational:
-                        raise InterfaceControlCheck(link.name)
+                    cf = self.cf
                     if cf.failed:
                         raise CfFailedError(cf.name)
-                    preq = cf.processors.request()
-                    try:
-                        yield preq
-                        if cf.failed:
-                            raise CfFailedError(cf.name)
-                        yield sim.timeout(
-                            service_factor * self._cmd_service
-                            + (self._data_cmd_service if data else 0.0)
-                        )
-                        if cf.failed:
-                            raise CfFailedError(cf.name)
-                        cf.commands_executed += 1
-                    finally:
-                        preq.cancel()
+                    svc = service_factor * self._cmd_service + (
+                        self._data_cmd_service if data else 0.0
+                    )
+                    # CF processor: idle -> scalar claim (same
+                    # busy-area accounting, same instants);
+                    # contended -> the command queues exactly as
+                    # ``CouplingFacility.execute`` would
+                    procs = cf.processors
+                    if procs.claim():
+                        try:
+                            yield sim.timeout(svc)
+                        finally:
+                            procs.unclaim()
+                    else:
+                        preq = procs.request()
+                        try:
+                            yield preq
+                            if cf.failed:
+                                raise CfFailedError(cf.name)
+                            yield sim.timeout(svc)
+                        finally:
+                            preq.cancel()
+                    if cf.failed:
+                        raise CfFailedError(cf.name)
+                    cf.commands_executed += 1
+                    # structure mutation at the exact
+                    # service-completion instant (it may schedule XI
+                    # signals from "now")
                     box.append(fn())
+                    # optional signal-completion wait + return latency
                     if signal_wait:
-                        yield sim.timeout(self._signal_latency)
-                    yield sim.timeout(self._latency)
+                        t_done = (sim._now + self._signal_latency) \
+                            + self._latency
+                    else:
+                        t_done = sim._now + self._latency
+                    yield sim.timeout_at(t_done)
                     if not link.operational:
                         raise InterfaceControlCheck(link.name)
                     link.ops += 1
+                    self.fast_syncs += 1
                 finally:
-                    sreq.cancel()
+                    subchannels.unclaim()
             finally:
                 if start >= 0.0:
                     cpu.busy_seconds += sim._now - start
-                req.cancel()
+                if ereq is None:
+                    engines.unclaim()
+                else:
+                    ereq.cancel()
             self.sync_ops += 1
-            self.fast_syncs += 1
             return box[0]
         tr = self.trace
         span = -1 if tr is None else tr.begin("cf.sync")
@@ -490,13 +360,6 @@ class CfPort:
             raise SystemDown(self.node.name)
         cpu = self.node.cpu
         box: list = []
-        if self._fast:
-            yield from cpu.consume(self.config.sync_issue_cpu)
-            yield from self._plain_trip(fn, out_bytes, in_bytes, data,
-                                        signal_wait, box, service_factor)
-            yield from cpu.consume(self.config.async_extra_cpu)
-            self.async_ops += 1
-            return box[0]
         tr = self.trace
         span = -1 if tr is None else tr.begin("cf.async")
         try:

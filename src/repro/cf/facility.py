@@ -96,15 +96,6 @@ class CouplingFacility:
             if tr is not None:
                 tr.end(span)
 
-    def try_reserve_processor(self):
-        """Event-free CF-processor claim for the uncontended fast path.
-
-        Returns a granted request (release via ``cancel()``) when a
-        processor is idle with nobody queued, else ``None`` — the caller
-        falls back to queueing exactly as :meth:`execute` would.
-        """
-        return self.processors.try_acquire()
-
     def signal(self, apply: Callable[[], None]) -> None:
         """Deliver a CF→system signal: apply after latency, zero target CPU."""
         self.signals_sent += 1

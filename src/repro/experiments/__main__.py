@@ -145,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--verify", action="store_true",
-        help="run every sweep under the golden verify profile (heapq "
-        "scheduler, no event collapsing; byte-identical to historical "
-        "results) instead of the fast sweep profile",
+        help="run every sweep under the golden verify profile (no event "
+        "collapsing; byte-identical to historical results) instead of "
+        "the fast sweep profile",
     )
     parser.add_argument(
         "--csv-dir", default=None, metavar="DIR",

@@ -16,10 +16,6 @@ repro.experiments`` CLI builds one Execution from its flags and threads
 it explicitly through every experiment's ``main(...)``; called directly
 — as the pytest-benchmark harness does — ``execution=None`` means the
 defaults: in-process runs, no cache, no progress.
-
-The pre-redesign module-global session state (``set_execution``) still
-exists as a deprecated shim for one release; it rebinds the fallback
-Execution that ``sweep``/``print_rows`` use when none is passed.
 """
 
 from __future__ import annotations
@@ -27,10 +23,9 @@ from __future__ import annotations
 import csv
 import re
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from ..config import (
     CpuConfig,
@@ -51,7 +46,6 @@ __all__ = [
     "print_rows",
     "write_csv",
     "sweep",
-    "set_execution",
     "QUICK",
     "FULL",
 ]
@@ -109,51 +103,7 @@ class Execution:
 #: What ``execution=None`` means: plain in-process runs, nothing else.
 DEFAULT_EXECUTION = Execution()
 
-#: Fallback used when no Execution is passed — only the deprecated
-#: :func:`set_execution` shim ever rebinds this away from the default.
-_SESSION: Execution = DEFAULT_EXECUTION
-
 _UNSET = object()
-
-
-def set_execution(jobs: Optional[int] = None,
-                  cache: Union[None, str, Path, ResultCache,
-                               object] = _UNSET,
-                  csv_dir: Union[None, str, Path, object] = _UNSET,
-                  progress: Optional[bool] = None,
-                  profile: Union[None, str, object] = _UNSET) -> None:
-    """Deprecated shim over the old module-global session state.
-
-    Build an :class:`Execution` and pass it to :func:`sweep` (and the
-    experiment ``main``/``run_*`` functions) instead; this shim survives
-    one release for callers that configured the session globally.  It
-    rebinds the fallback Execution used when ``sweep`` is called with
-    ``execution=None``.
-    """
-    warnings.warn(
-        "set_execution() is deprecated: build an "
-        "repro.experiments.common.Execution and pass it to sweep() / "
-        "the experiment entry points instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    global _SESSION
-    changes: Dict[str, Any] = {}
-    if jobs is not None:
-        changes["jobs"] = jobs
-    if cache is not _UNSET:
-        changes["cache"] = cache
-    if csv_dir is not _UNSET:
-        changes["csv_dir"] = Path(csv_dir) if csv_dir else None
-    if progress is not None:
-        changes["progress"] = progress
-    if profile is not _UNSET:
-        changes["profile"] = profile
-    _SESSION = _SESSION.replace(**changes)
-
-
-def _effective(execution: Optional[Execution]) -> Execution:
-    return execution if execution is not None else _SESSION
 
 
 def sweep(specs: Sequence[RunSpec],
@@ -165,12 +115,11 @@ def sweep(specs: Sequence[RunSpec],
 
     Results come back in spec order; each is a
     :class:`~repro.metrics.RunResult` or the scenario runner's plain-data
-    payload.  ``execution=None`` falls back to the session default
-    (plain in-process runs unless the deprecated :func:`set_execution`
-    changed it).  Explicit ``jobs``/``cache`` override the Execution's
-    fields (pass ``cache=None`` to force a cache-off run).
+    payload.  ``execution=None`` means :data:`DEFAULT_EXECUTION` (plain
+    in-process runs).  Explicit ``jobs``/``cache`` override the
+    Execution's fields (pass ``cache=None`` to force a cache-off run).
     """
-    ex = _effective(execution)
+    ex = execution if execution is not None else DEFAULT_EXECUTION
     if jobs is not None:
         ex = ex.replace(jobs=jobs)
     if cache is not _UNSET:
@@ -224,7 +173,8 @@ def print_rows(title: str, rows: List[dict], columns: List[str],
     print("-" * len(header))
     for r in rows:
         print("  ".join(_fmt(r.get(c)).ljust(widths[c]) for c in columns))
-    csv_dir = _effective(execution).csv_dir
+    csv_dir = (execution if execution is not None
+               else DEFAULT_EXECUTION).csv_dir
     if csv_path is None and csv_dir is not None:
         csv_path = csv_dir / f"{_slug(title)}.csv"
     if csv_path is not None:

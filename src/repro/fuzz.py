@@ -5,8 +5,8 @@ mutation loop over the chaos-runner scenario space: starting from the
 healthy :func:`~repro.adversaries.base_spec`, the adversary catalog, and
 one faulty chaos soak spec, it mutates RunSpec dimensions (workload
 shape, database geometry, CF structure sizing, robustness settings,
-kernel execution — scheduler backend and event collapse — and chaos
-fault classes), runs each mutant in-process, and keeps the ones
+the execution profile — event collapse on or off — and chaos fault
+classes), runs each mutant in-process, and keeps the ones
 that light up **new coverage features** as seeds for further mutation.
 
 Coverage is a feature map over run *outcomes*, not code: which invariant
@@ -178,11 +178,10 @@ DIMENSIONS: Tuple[Dim, ...] = (
     _section_dim("dasd", "service_mean", (0.0025, 0.01, 0.025)),
     _option_dim("offered_tps_per_system", (30.0, 60.0, 120.0, 240.0)),
     _option_dim("router_policy", ("local", "threshold", "wlm")),
-    # kernel execution axes: every corpus entry is re-checked for byte
-    # determinism on admission, so mutating these puts both calendar
-    # backends and both collapse settings under the nondet oracle
-    _option_dim("scheduler", (None, "heap", "calendar")),
-    _option_dim("collapse", (None, True, False)),
+    # execution axis: every corpus entry is re-checked for byte
+    # determinism on admission, so mutating this puts both the collapsed
+    # and the general CF sync paths under the nondet oracle
+    _option_dim("profile", ("sweep", "verify")),
     _chaos_class_dim("systems", (None, _FAST, _SLOW)),
     _chaos_class_dim("cfs", (None, _SLOW, _STUCK)),
     _chaos_class_dim("links", (None, _FAST)),

@@ -35,11 +35,11 @@ class CpuComplex:
         self.busy_seconds = 0.0  # inflated engine-seconds actually burned
         self.offline = False
         #: event-collapse mode, set by the sysplex builder from the run's
-        #: resolved collapse policy: an idle engine is claimed event-free
-        #: (no grant event) on :meth:`consume`.  Timing and busy-area
+        #: profile (``sweep``): an idle engine is claimed event-free (no
+        #: grant event) on :meth:`consume`.  Timing and busy-area
         #: accounting are identical; only same-instant interleaving moves,
-        #: the same statistically-neutral trade the CF command collapse
-        #: makes (see repro.cf.commands.COLLAPSE).
+        #: the same statistically-neutral trade the collapsed CF sync
+        #: frame makes (see repro.cf.commands.CfPort.sync).
         self.collapse = False
         #: >1.0 while the complex is degraded ("sick but not dead"): every
         #: CPU-second takes ``sick_factor`` times longer, but the system

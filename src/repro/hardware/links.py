@@ -57,17 +57,6 @@ class CouplingLink:
     def busy(self) -> int:
         return self.subchannels.in_use + self.subchannels.queue_length
 
-    def try_reserve(self):
-        """Event-free subchannel claim for the uncontended fast path.
-
-        Returns a granted request (release via ``cancel()``) when the link
-        is up and a subchannel is free with nobody queued, else ``None`` —
-        the caller falls back to the general :meth:`occupy` round trip.
-        """
-        if not self.operational:
-            return None
-        return self.subchannels.try_acquire()
-
     def occupy(self, nbytes_out: int, nbytes_in: int, cf_service):
         """Process step: hold a subchannel for one command round trip.
 

@@ -258,7 +258,7 @@ class XesServices:
     """Sysplex-wide structure registry and connection manager."""
 
     def __init__(self, sim: Simulator, config: CfConfig, trace=None,
-                 streams=None, collapse: Optional[bool] = None):
+                 streams=None, collapse: bool = False):
         self.sim = sim
         self.config = config
         self.trace = trace  # Tracer or None; threaded into every CfPort
@@ -266,7 +266,7 @@ class XesServices:
         #: each system's ports share a seeded backoff-jitter stream
         self.streams = streams
         #: per-sysplex CF-command collapse policy, threaded into every
-        #: CfPort; None defers to the repro.cf.commands.COLLAPSE default
+        #: CfPort (each port still gates it on robustness and tracing)
         self.collapse = collapse
         self.facilities: List[CouplingFacility] = []
         #: structure name -> DuplexPair for every duplexed structure

@@ -14,20 +14,19 @@ the public API one typed, hashable, JSON-serializable object that
 Execution profiles
 ------------------
 
-``profile`` selects how much the kernel is allowed to optimize a run:
+``profile`` is the one execution knob.  Both profiles run the same
+single-heap kernel; they differ only in whether the model may collapse
+events:
 
-* ``"sweep"`` (the default) — the fast configuration: the calendar-queue
-  scheduler plus the event-collapsed CF command path.  Statistically
-  indistinguishable from the golden path (and still perfectly
-  deterministic per spec hash), but *not* byte-identical to it at
-  saturation.  Experiments, fuzzing and chaos runs use this.
-* ``"verify"`` — the golden configuration: heapq scheduler, no event
-  collapsing.  Byte-identical to the historical results; use it to
+* ``"sweep"`` (the default) — event collapsing on: the collapsed CF
+  sync frame, scalar holds on idle engines, subchannels and DASD paths,
+  and no terminal events for processes nobody waits on.  Statistically
+  indistinguishable from ``verify`` (and perfectly deterministic per
+  spec hash), but *not* byte-identical to it at saturation.
+  Experiments, fuzzing and chaos runs use this.
+* ``"verify"`` — no collapsing: every CF command takes the general
+  path.  Byte-identical to the historical golden results; use it to
   (re)generate golden fixtures or to double-check a sweep result.
-
-``scheduler`` and ``collapse`` override the profile's choice per knob
-(``None`` means "whatever the profile says"); see
-:meth:`RunOptions.resolved_scheduler` / :meth:`RunOptions.resolved_collapse`.
 """
 
 from __future__ import annotations
@@ -42,13 +41,8 @@ __all__ = ["RunOptions", "OPTION_FIELDS", "PROFILES"]
 #: arrival stream at a fixed rate regardless of completions.
 _MODES = ("closed", "open")
 
-#: Execution profiles and the (scheduler, collapse) defaults they imply.
-PROFILES = {
-    "sweep": ("calendar", True),
-    "verify": ("heap", False),
-}
-
-_SCHEDULERS = (None, "heap", "calendar")
+#: Execution profiles: ``sweep`` collapses events, ``verify`` does not.
+PROFILES = ("sweep", "verify")
 
 
 @dataclass(frozen=True)
@@ -75,19 +69,10 @@ class RunOptions:
     terminals_per_system: Optional[int] = None
     #: Open-loop offered transactions/second per system.
     offered_tps_per_system: float = 200.0
-    #: Execution profile: ``"sweep"`` (fast; the default) or ``"verify"``
-    #: (golden, byte-identical to historical results).  See the module
-    #: docstring.
+    #: Execution profile: ``"sweep"`` (event-collapsed; the default) or
+    #: ``"verify"`` (golden, byte-identical to historical results).  See
+    #: the module docstring.
     profile: str = "sweep"
-    #: Kernel calendar backend override: ``"heap"``, ``"calendar"``, or
-    #: ``None`` to take the profile's choice.  Both backends produce
-    #: bit-identical results; this knob exists for benchmarking and for
-    #: the fuzzer's cross-backend determinism oracle.
-    scheduler: Optional[str] = None
-    #: CF-command event-collapse override: ``True``/``False``, or
-    #: ``None`` to take the profile's choice.  Collapsed runs are
-    #: statistically neutral but not byte-identical to golden ones.
-    collapse: Optional[bool] = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -97,26 +82,8 @@ class RunOptions:
         if self.profile not in PROFILES:
             raise ValueError(
                 f"unknown profile {self.profile!r} "
-                f"(expected one of {tuple(PROFILES)})"
+                f"(expected one of {PROFILES})"
             )
-        if self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r} "
-                f"(expected one of {_SCHEDULERS})"
-            )
-
-    # -- profile resolution ------------------------------------------------
-    def resolved_scheduler(self) -> str:
-        """The kernel scheduler this run should use."""
-        if self.scheduler is not None:
-            return self.scheduler
-        return PROFILES[self.profile][0]
-
-    def resolved_collapse(self) -> bool:
-        """Whether the CF command path may collapse events."""
-        if self.collapse is not None:
-            return self.collapse
-        return PROFILES[self.profile][1]
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
@@ -128,12 +95,23 @@ class RunOptions:
             "terminals_per_system": self.terminals_per_system,
             "offered_tps_per_system": self.offered_tps_per_system,
             "profile": self.profile,
-            "scheduler": self.scheduler,
-            "collapse": self.collapse,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunOptions":
+        """Rebuild options saved by :meth:`to_dict`.
+
+        Dicts from before ``profile`` became the only knob carry two more
+        keys.  ``scheduler`` is dropped: both of its backends popped
+        events in the same order, so it never changed a result.  A
+        non-null ``collapse`` override becomes the profile it selected
+        (``True`` -> ``"sweep"``, ``False`` -> ``"verify"``).
+        """
+        data = dict(data)
+        data.pop("scheduler", None)
+        collapse = data.pop("collapse", None)
+        if collapse is not None:
+            data["profile"] = "sweep" if collapse else "verify"
         return cls(**data)
 
     def replace(self, **changes) -> "RunOptions":

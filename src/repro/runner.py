@@ -10,10 +10,10 @@ These are the functions behind the :func:`repro.run` facade; each returns
 was deprecated in 1.1 and removed in 2.0.)
 
 The options bundle also carries the execution profile:
-``RunOptions(profile="sweep")`` (the default) runs on the calendar-queue
-scheduler with CF-command event collapsing — fast and statistically
-neutral; ``profile="verify"`` runs the golden heapq/no-collapse path,
-byte-identical to historical results.  See :mod:`repro.options`.
+``RunOptions(profile="sweep")`` (the default) runs with CF-command event
+collapsing — fast and statistically neutral; ``profile="verify"`` runs
+the golden no-collapse path, byte-identical to historical results.  See
+:mod:`repro.options`.
 """
 
 from __future__ import annotations
@@ -46,14 +46,13 @@ def build_loaded_sysplex(config: SysplexConfig,
     With ``options.tracing`` the transaction-level span tracer is
     attached (see :mod:`repro.trace`), making per-category overhead
     attribution available from ``collect()``.  The options' execution
-    profile picks the kernel scheduler and the CF-command collapse mode
-    (``"sweep"`` = calendar + collapse, ``"verify"`` = golden heapq).
+    profile picks the collapse mode (``"sweep"`` = collapse,
+    ``"verify"`` = none).
     """
     opts = options if options is not None else RunOptions()
     plex = Sysplex(config, monitoring=opts.monitoring,
                    router_policy=opts.router_policy, tracing=opts.tracing,
-                   scheduler=opts.resolved_scheduler(),
-                   collapse=opts.resolved_collapse())
+                   collapse=opts.profile == "sweep")
     gen = OltpGenerator(
         plex.sim,
         config.oltp,

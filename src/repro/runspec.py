@@ -57,9 +57,11 @@ __all__ = [
 #: class, and the chaos runner's payload carries pathology observables
 #: plus invariant branch coverage (see ``repro.adversaries`` /
 #: ``repro.fuzz``).  v4: :class:`~repro.options.RunOptions` gained the
-#: execution profile (``profile``/``scheduler``/``collapse``), and
-#: ``profile="sweep"`` — the default — runs event-collapsed, so v3
-#: results are not comparable byte-for-byte.
+#: execution profile, and ``profile="sweep"`` — the default — runs
+#: event-collapsed, so v3 results are not comparable byte-for-byte.
+#: (v4 dicts may still carry the retired ``scheduler``/``collapse``
+#: overrides; :meth:`RunOptions.from_dict` maps them without changing
+#: any result.)
 SCHEMA_VERSION = 4
 
 #: Short names for the built-in runners.

@@ -3,13 +3,10 @@
 from .core import (
     AllOf,
     AnyOf,
-    CalendarScheduler,
     Condition,
     Event,
-    HeapScheduler,
     Interrupt,
     Process,
-    Scheduler,
     SimulationError,
     Simulator,
     StopSimulation,
@@ -24,17 +21,14 @@ from .resources import Container, Request, Resource, Store
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarScheduler",
     "Condition",
     "Container",
     "Counter",
     "Event",
-    "HeapScheduler",
     "Interrupt",
     "MetricSet",
     "NORMAL",
     "Process",
-    "Scheduler",
     "RandomStreams",
     "Request",
     "Resource",

@@ -10,35 +10,20 @@ Time is a float in **seconds**; sub-microsecond resolution is fine because
 events at equal times are ordered deterministically by (priority, sequence
 number), so runs are exactly reproducible for a given seed.
 
-The calendar itself is pluggable (see :class:`Scheduler`):
-
-* :class:`HeapScheduler` — the classic binary heap.  O(log n) per
-  operation, C-implemented, and the **golden** backend: every
-  byte-identity guarantee in the repo is stated against its pop order.
-* :class:`CalendarScheduler` — a bucketed calendar queue (Brown 1988)
-  tuned to the observed inter-event gap.  Pushes append to an unsorted
-  bucket (O(1)); a bucket is sorted once, when the clock reaches it, and
-  same-instant cascades (succeed → resume → succeed at one timestamp)
-  are insorted directly into the *draining* bucket so they never touch
-  the tick heap at all.  Pop order is the exact ``(when, priority,
-  seq)`` total order, so results are byte-identical to the heap backend;
-  the win is pure constant-factor.
-
-Either backend is selected per-:class:`Simulator` (``Simulator(
-scheduler="calendar")``); model code never sees the difference.
+The calendar is one binary heap of ``(when, priority, seq, event)``
+tuples, driven by C ``heappush``/``heappop`` and drained by one loop in
+:meth:`Simulator.run`.  ``seq`` is unique and monotone, so the tuple order
+is total and every byte-identity guarantee in the repo is stated against
+this pop order.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Simulator",
-    "Scheduler",
-    "HeapScheduler",
-    "CalendarScheduler",
     "Event",
     "Timeout",
     "Process",
@@ -133,10 +118,7 @@ class Event:
         # hot path: schedule at the current time without an _enqueue frame
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        if sim._alt is None:
-            heappush(sim._queue, (sim._now, priority, seq, self))
-        else:
-            sim._alt.push((sim._now, priority, seq, self))
+        heappush(sim._queue, (sim._now, priority, seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -150,10 +132,7 @@ class Event:
         self._state = _TRIGGERED
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        if sim._alt is None:
-            heappush(sim._queue, (sim._now, priority, seq, self))
-        else:
-            sim._alt.push((sim._now, priority, seq, self))
+        heappush(sim._queue, (sim._now, priority, seq, self))
         return self
 
     def defused(self) -> "Event":
@@ -192,10 +171,7 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         sim._seq = seq = sim._seq + 1
-        if sim._alt is None:
-            heappush(sim._queue, (sim._now + delay, NORMAL, seq, self))
-        else:
-            sim._alt.push((sim._now + delay, NORMAL, seq, self))
+        heappush(sim._queue, (sim._now + delay, NORMAL, seq, self))
 
 
 class Process(Event):
@@ -226,10 +202,7 @@ class Process(Event):
         init._state = _TRIGGERED
         init.callbacks.append(self._cb)
         sim._seq = seq = sim._seq + 1
-        if sim._alt is None:
-            heappush(sim._queue, (sim._now, URGENT, seq, init))
-        else:
-            sim._alt.push((sim._now, URGENT, seq, init))
+        heappush(sim._queue, (sim._now, URGENT, seq, init))
 
     @property
     def is_alive(self) -> bool:
@@ -390,263 +363,12 @@ class AllOf(Condition):
         super().__init__(sim, events, need=len(events))
 
 
-class Scheduler:
-    """Interface for pluggable event-calendar backends.
-
-    Items are ``(when, priority, seq, event)`` tuples; ``seq`` is unique
-    and monotone, so the tuple order is total.  A backend must return
-    items in exactly that order — the repo's byte-identity guarantees
-    (equal spec hash ⇒ bit-identical payload, whichever backend ran it)
-    depend on it, and ``tests/test_property_kernel.py`` cross-checks the
-    implementations against each other on random schedules.
-    """
-
-    __slots__ = ()
-
-    def push(self, item: tuple) -> None:
-        raise NotImplementedError
-
-    def pop_until(self, horizon: float) -> Optional[tuple]:
-        """Remove and return the least item with ``when <= horizon``,
-        or None (leaving the calendar untouched) if there is none."""
-        raise NotImplementedError
-
-    def peek_when(self) -> float:
-        """Time of the least item, or +inf when empty."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class HeapScheduler(Scheduler):
-    """The classic binary-heap calendar — the golden backend.
-
-    :class:`Simulator` recognizes this class and aliases ``sim._queue``
-    to :attr:`heap`, so the kernel's inlined push sites keep writing
-    into the list with C ``heappush`` exactly as they always have.
-    """
-
-    __slots__ = ("heap",)
+class Simulator:
+    """Owns the event calendar and the simulated clock."""
 
     def __init__(self):
-        self.heap: list = []
-
-    def push(self, item: tuple) -> None:
-        heappush(self.heap, item)
-
-    def pop_until(self, horizon: float) -> Optional[tuple]:
-        heap = self.heap
-        if heap and heap[0][0] <= horizon:
-            return heappop(heap)
-        return None
-
-    def peek_when(self) -> float:
-        return self.heap[0][0] if self.heap else float("inf")
-
-    def __len__(self) -> int:
-        return len(self.heap)
-
-
-class CalendarScheduler(Scheduler):
-    """A bucketed calendar queue tuned to observed inter-event gaps.
-
-    Time is cut into buckets of ``width`` seconds.  Future items land in
-    their bucket *unsorted* — a dict append, O(1) — and a min-heap of
-    bucket ticks remembers which buckets exist.  When the clock reaches
-    a bucket it is sorted once (timsort, on input that is cheap to sort)
-    and drained by index.  Two properties make this faster than a heap
-    for µs-dense simulations:
-
-    * a push costs an append instead of an O(log n) sift against the
-      whole calendar, and the sort at activation touches only the
-      handful of items that share the bucket;
-    * a same-instant cascade (succeed → resume → succeed … at one
-      timestamp) is ``insort``-ed directly into the draining bucket at
-      or after the drain cursor, so the whole chain drains without
-      re-entering any heap.
-
-    The bucket width adapts: activation occupancy is sampled and the
-    width is re-tuned (and the calendar deterministically rebuilt) when
-    buckets run too full or too empty.  Order is the exact ``(when,
-    priority, seq)`` total order — tick is monotone in ``when``, buckets
-    drain in tick order, in-bucket order is the tuple sort, and a
-    cascade item can never sort below the drain cursor because its
-    ``when`` is never in the past.
-    """
-
-    __slots__ = ("_width", "_inv", "_buckets", "_ticks", "_active",
-                 "_atick", "_idx", "_occ_items", "_occ_rounds")
-
-    #: Default bucket width (seconds).  The model's event density is
-    #: µs-scale (CF service times ~5–50 µs), so 1 µs buckets start close
-    #: to the ideal one-handful-per-bucket regime; adaptation does the
-    #: fine tuning from observed occupancy.
-    DEFAULT_WIDTH = 1e-6
-
-    #: Re-tune after this many bucket activations.
-    _SAMPLE = 512
-    #: Occupancy band: rebuild wider/narrower outside [low, high].
-    _OCC_LOW = 1.5
-    _OCC_HIGH = 24.0
-    #: Width bounds keep adaptation from running away on degenerate
-    #: schedules (all-same-instant, or hour-long idle gaps).
-    _MIN_WIDTH = 1e-9
-    _MAX_WIDTH = 1e-2
-
-    def __init__(self, width: float = DEFAULT_WIDTH):
-        if width <= 0:
-            raise ValueError(f"bucket width must be positive, got {width!r}")
-        self._width = width
-        self._inv = 1.0 / width
-        self._buckets: dict = {}   # tick -> unsorted list of items
-        self._ticks: list = []     # min-heap of ticks present in _buckets
-        self._active: list = []    # the draining (sorted) bucket
-        self._atick = -1           # tick of _active
-        self._idx = 0              # drain cursor into _active
-        self._occ_items = 0
-        self._occ_rounds = 0
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in seconds (adapts during a run)."""
-        return self._width
-
-    def push(self, item: tuple) -> None:
-        when = item[0]
-        try:
-            tick = int(when * self._inv)
-        except (OverflowError, ValueError):
-            # when == +inf: a bucket of its own, after every finite tick
-            tick = when
-        if tick == self._atick:
-            # same-instant cascade (or same-bucket future event) while
-            # this bucket drains: insert at/after the cursor — it fires
-            # in order without touching the tick heap
-            insort(self._active, item, self._idx)
-        else:
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._buckets[tick] = [item]
-                heappush(self._ticks, tick)
-            else:
-                bucket.append(item)
-
-    def _activate(self) -> bool:
-        """Sort and mount the next bucket; False when none remain."""
-        if not self._ticks:
-            self._active = []
-            self._atick = -1
-            self._idx = 0
-            return False
-        if self._occ_rounds >= self._SAMPLE:
-            self._retune()
-        tick = heappop(self._ticks)
-        bucket = self._buckets.pop(tick)
-        bucket.sort()
-        self._active = bucket
-        self._atick = tick
-        self._idx = 0
-        self._occ_items += len(bucket)
-        self._occ_rounds += 1
-        return True
-
-    def _retune(self) -> None:
-        """Adapt the bucket width to the observed occupancy and rebuild.
-
-        Deterministic: depends only on the event history, and the
-        rebuild preserves the total order exactly (it only re-partitions
-        the same items).  Called between buckets, when the active one is
-        exhausted.
-        """
-        avg = self._occ_items / self._occ_rounds
-        self._occ_items = 0
-        self._occ_rounds = 0
-        if avg > self._OCC_HIGH:
-            width = max(self._width / 8.0, self._MIN_WIDTH)
-        elif avg < self._OCC_LOW:
-            width = min(self._width * 8.0, self._MAX_WIDTH)
-        else:
-            return
-        if width == self._width:
-            return
-        items = self._active[self._idx:]
-        for bucket in self._buckets.values():
-            items.extend(bucket)
-        self._width = width
-        self._inv = 1.0 / width
-        self._buckets = {}
-        self._ticks = []
-        self._active = []
-        self._atick = -1
-        self._idx = 0
-        for item in items:
-            self.push(item)
-
-    def pop_until(self, horizon: float) -> Optional[tuple]:
-        active, idx = self._active, self._idx
-        if idx >= len(active):
-            if not self._activate():
-                return None
-            active, idx = self._active, 0
-        item = active[idx]
-        if item[0] > horizon:
-            return None
-        self._idx = idx + 1
-        return item
-
-    def peek_when(self) -> float:
-        active, idx = self._active, self._idx
-        if idx >= len(active):
-            if not self._activate():
-                return float("inf")
-            active, idx = self._active, 0
-        return active[idx][0]
-
-    def __len__(self) -> int:
-        # computed on demand so the hot push/pop paths carry no counter
-        n = len(self._active) - self._idx
-        for bucket in self._buckets.values():
-            n += len(bucket)
-        return n
-
-
-#: Names accepted by ``Simulator(scheduler=...)`` and, downstream, by
-#: ``RunOptions.scheduler``.
-SCHEDULERS = {
-    "heap": HeapScheduler,
-    "calendar": CalendarScheduler,
-}
-
-
-class Simulator:
-    """Owns the event calendar and the simulated clock.
-
-    ``scheduler`` selects the calendar backend: a name from
-    :data:`SCHEDULERS` (``"heap"`` — the golden default — or
-    ``"calendar"``) or a ready :class:`Scheduler` instance.  Both
-    built-in backends produce bit-identical runs; see the module
-    docstring for when each wins.
-    """
-
-    def __init__(self, scheduler: Union[str, Scheduler] = "heap"):
-        if isinstance(scheduler, str):
-            try:
-                scheduler = SCHEDULERS[scheduler]()
-            except KeyError:
-                raise ValueError(
-                    f"unknown scheduler {scheduler!r}; "
-                    f"expected one of {sorted(SCHEDULERS)}"
-                ) from None
-        self.scheduler: Scheduler = scheduler
-        if type(scheduler) is HeapScheduler:
-            # the golden fast path: push sites inline C heappush into
-            # this list and skip the Scheduler interface entirely
-            self._queue: Optional[list] = scheduler.heap
-            self._alt: Optional[Scheduler] = None
-        else:
-            self._queue = None
-            self._alt = scheduler
+        #: the calendar: a heap of ``(when, priority, seq, event)`` tuples
+        self._queue: list = []
         self._now: float = 0.0
         self._seq = 0
         #: collapse mode (set by the model layer, never by the kernel):
@@ -707,10 +429,7 @@ class Simulator:
         ev._value = value
         ev._state = _TRIGGERED
         self._seq = seq = self._seq + 1
-        if self._alt is None:
-            heappush(self._queue, (when, NORMAL, seq, ev))
-        else:
-            self._alt.push((when, NORMAL, seq, ev))
+        heappush(self._queue, (when, NORMAL, seq, ev))
         return ev
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -737,10 +456,7 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
     def _enqueue(self, delay: float, priority: int, event: Event) -> None:
         self._seq = seq = self._seq + 1
-        if self._alt is None:
-            heappush(self._queue, (self._now + delay, priority, seq, event))
-        else:
-            self._alt.push((self._now + delay, priority, seq, event))
+        heappush(self._queue, (self._now + delay, priority, seq, event))
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run a plain callable after ``delay`` seconds."""
@@ -749,22 +465,14 @@ class Simulator:
     # -- execution -------------------------------------------------------------
     def step(self) -> None:
         """Process the single next event.  Raises IndexError when empty."""
-        if self._alt is None:
-            when, _prio, _seq, event = heappop(self._queue)
-        else:
-            item = self._alt.pop_until(float("inf"))
-            if item is None:
-                raise IndexError("step from an empty calendar")
-            when, _prio, _seq, event = item
+        when, _prio, _seq, event = heappop(self._queue)
         self._now = when
         self.events_processed += 1
         event._run_callbacks()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        if self._alt is None:
-            return self._queue[0][0] if self._queue else float("inf")
-        return self._alt.peek_when()
+        return self._queue[0][0] if self._queue else float("inf")
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the calendar empties, ``until`` seconds pass, or an
@@ -790,75 +498,26 @@ class Simulator:
                 raise ValueError("cannot run into the past")
 
         # The event loop proper.  This is `step()` inlined — pop, advance
-        # the clock, run callbacks — with the calendar state bound to
-        # locals: two fewer Python frames and ~6 fewer attribute loads per
-        # event, which is the bulk of the kernel's per-event cost.  One
-        # loop body per backend: the heap loop pops the raw list, the
-        # calendar loop drains the active bucket by cursor (one
-        # `_activate` call per bucket, not per event), and any custom
-        # Scheduler gets the generic `pop_until` loop.
+        # the clock, run callbacks — with the calendar bound to locals: two
+        # fewer Python frames and ~6 fewer attribute loads per event, which
+        # is the bulk of the kernel's per-event cost.
         count = 0
-        alt = self._alt
+        queue = self._queue
+        pop = heappop
         try:
-            if alt is None:
-                queue = self._queue
-                pop = heappop
-                while queue and queue[0][0] <= horizon:
-                    when, _prio, _seq, event = pop(queue)
-                    self._now = when
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._state = _PROCESSED
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        # Nobody waited for (or defused) this failed event:
-                        # surface the error (see Event._run_callbacks).
-                        raise event._value
-            elif type(alt) is CalendarScheduler:
-                activate = alt._activate
-                while True:
-                    # re-read each iteration: callbacks push into (and
-                    # _activate replaces) the active bucket
-                    active = alt._active
-                    idx = alt._idx
-                    if idx >= len(active):
-                        if not activate():
-                            break
-                        active = alt._active
-                        idx = 0
-                    item = active[idx]
-                    when = item[0]
-                    if when > horizon:
-                        break
-                    alt._idx = idx + 1
-                    self._now = when
-                    count += 1
-                    event = item[3]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._state = _PROCESSED
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-            else:
-                pop_until = alt.pop_until
-                while True:
-                    item = pop_until(horizon)
-                    if item is None:
-                        break
-                    self._now = item[0]
-                    count += 1
-                    event = item[3]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._state = _PROCESSED
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+            while queue and queue[0][0] <= horizon:
+                when, _prio, _seq, event = pop(queue)
+                self._now = when
+                count += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._state = _PROCESSED
+                for cb in callbacks:
+                    cb(event)
+                if not event._ok and not event._defused:
+                    # Nobody waited for (or defused) this failed event:
+                    # surface the error (see Event._run_callbacks).
+                    raise event._value
         except StopSimulation:
             val = stop_value[0]
             if isinstance(until, Event) and not until._ok:

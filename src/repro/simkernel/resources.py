@@ -122,10 +122,7 @@ class Resource:
             req._value = req
             req._state = _TRIGGERED
             sim._seq = seq = sim._seq + 1
-            if sim._alt is None:
-                heappush(sim._queue, (now, NORMAL, seq, req))
-            else:
-                sim._alt.push((now, NORMAL, seq, req))
+            heappush(sim._queue, (now, NORMAL, seq, req))
         else:
             self._seq += 1
             req._key = (priority, self._seq)

@@ -75,21 +75,13 @@ class Sysplex:
                  monitoring: bool = True,
                  router_policy: str = "threshold",
                  tracing: bool = False,
-                 scheduler: str = "heap",
-                 collapse: Optional[bool] = None):
+                 collapse: bool = False):
         self.config = config
-        # scheduler picks the kernel's calendar backend ("heap" is the
-        # golden default; "calendar" is the sweep backend — bit-identical
-        # results either way); collapse=True turns on event merging on
-        # the CF command fast path and the uncontended CPU dispatch
-        # (statistically neutral, NOT byte-identical at saturation).
-        # None defers to the repro.cf.commands.COLLAPSE module default.
-        from .cf import commands as _cf_commands
-
-        self._collapse_events = bool(
-            _cf_commands.COLLAPSE if collapse is None else collapse
-        ) and not tracing
-        self.sim = Simulator(scheduler=scheduler)
+        # collapse=True (the ``sweep`` profile) turns on event merging on
+        # the CF command path and the uncontended CPU/DASD dispatch
+        # (statistically neutral, NOT byte-identical at saturation)
+        self._collapse_events = collapse and not tracing
+        self.sim = Simulator()
         # collapse also elides terminal events of processes nobody waits
         # on (fire-and-forget transactions, shipments, castout I/O)
         self.sim._elide_done = self._collapse_events

@@ -1,9 +1,8 @@
 """Tests for the redesigned execution API.
 
-The :class:`~repro.experiments.common.Execution` value object, the
-deprecated ``set_execution`` shim over it, sweep-level
-:class:`~repro.executor.Progress` reporting, and the ``repro.run()``
-sweep routing.
+The :class:`~repro.experiments.common.Execution` value object,
+sweep-level :class:`~repro.executor.Progress` reporting, and the
+``repro.run()`` sweep routing.
 """
 
 import io
@@ -13,8 +12,7 @@ import pytest
 
 import repro
 from repro.executor import LocalPoolBackend, Progress, ResultCache
-from repro.experiments import common
-from repro.experiments.common import Execution, set_execution, sweep
+from repro.experiments.common import Execution, sweep
 from repro.runspec import RunSpec
 
 RUNNER = "tests.test_execution_api:echo_runner"
@@ -27,13 +25,6 @@ def echo_runner(spec):
 def echo_specs(n=3):
     return [RunSpec(runner=RUNNER, label=f"e{i}", params={"n": i})
             for i in range(n)]
-
-
-@pytest.fixture(autouse=True)
-def _reset_session():
-    """The shim mutates module state; every test starts from the default."""
-    yield
-    common._SESSION = common.DEFAULT_EXECUTION
 
 
 # ------------------------------------------------------------- Execution ----
@@ -90,24 +81,6 @@ def test_sweep_kwargs_override_the_execution(tmp_path):
 
 def test_sweep_without_execution_uses_plain_defaults():
     assert sweep(echo_specs(2)) == [s.run() for s in echo_specs(2)]
-
-
-# ------------------------------------------------------ deprecated shim ----
-def test_set_execution_warns_deprecation():
-    with pytest.deprecated_call():
-        set_execution(jobs=2)
-
-
-def test_set_execution_rebinds_the_session_fallback(tmp_path):
-    cache = ResultCache(tmp_path / "rc")
-    with pytest.warns(DeprecationWarning):
-        set_execution(cache=cache)
-    specs = echo_specs(2)
-    sweep(specs)  # no execution passed: the shim's session applies
-    assert cache.misses == 2
-    # ...but an explicit Execution always wins over the session
-    sweep(specs, execution=Execution())
-    assert cache.misses == 2 and cache.hits == 0
 
 
 # -------------------------------------------------------------- Progress ----

@@ -1,16 +1,16 @@
 """Tests for the uncontended fast paths through the CF command stack.
 
-The *byte-safe* fast paths (``repro.cf.commands.FAST_PATH``, the
-lock-manager single-frame grant, the buffer-manager ``try_get_local``)
-are pure machinery: they must change *nothing* observable about a run —
-not the event timing, not the RNG draw order, not a single statistic.
-The *collapsed* execution (``profile="sweep"``: event merging + scalar
-resource holds + the calendar-queue scheduler) trades byte identity for
-speed and must stay statistically neutral.  These tests pin both
-contracts — including the full 22-point golden grid against the
-pre-refactor payload hashes — gate the events-per-transaction cost
-metric, and check the robustness/chaos configurations stay off the fast
-path entirely.
+The *byte-safe* fast paths (the lock-manager single-frame grant, the
+buffer-manager ``try_get_local``) are pure machinery: they must change
+*nothing* observable about a run — not the event timing, not the RNG
+draw order, not a single statistic.  The *collapsed* execution
+(``profile="sweep"``: event merging + scalar resource holds) trades byte
+identity with ``verify`` for speed and must stay statistically neutral.
+These tests pin both contracts — the full 22-point golden grid against
+the pre-refactor payload hashes under ``verify``, and the same grid plus
+a subchannel-contended point against recorded ``sweep`` hashes — gate
+the events-per-transaction cost metric, and check the robustness/chaos
+configurations stay off the collapsed frame entirely.
 """
 
 import hashlib
@@ -20,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.cf.commands as commands
 from repro.config import CfConfig
 from repro.executor import _payload_from
 from repro.experiments.common import QUICK, scaled_config
@@ -41,15 +40,17 @@ TAB1_BASE_EVENTS_PER_TXN = 60.5
 GOLDEN_GRID = Path(__file__).parent / "data" / "golden_grid.json"
 GOLDEN_DUPLEX = Path(__file__).parent / "data" / "golden_duplex.json"
 GOLDEN_SMALLPOOL = Path(__file__).parent / "data" / "golden_smallpool.json"
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.json"
 
 
-def _run(cfg, duration=0.25, warmup=0.15, options=None):
+def _run(cfg, duration=0.25, warmup=0.15, options=None,
+         label="fastpath-test"):
     """run_oltp, but keeping the sysplex so tests can inspect the ports."""
     plex, _gen = build_loaded_sysplex(cfg, options=options or RunOptions())
     plex.sim.run(until=warmup)
     plex.reset_measurement()
     plex.sim.run(until=warmup + duration)
-    return plex, plex.collect("fastpath-test")
+    return plex, plex.collect(label)
 
 
 def _ports(plex):
@@ -59,35 +60,7 @@ def _ports(plex):
                 yield xes.port
 
 
-# ------------------------------------------------------------ equivalence ----
-def test_fast_path_identical_under_contention(monkeypatch):
-    """Fast on vs. off: byte-identical results on a contended scenario.
-
-    A single CF processor serving 8 saturated systems queues commands by
-    construction, so the flattened path's contended branches (subchannel
-    wait, processor wait) all execute — and must reproduce the general
-    path's event sequence exactly.
-    """
-    # one slow CF processor serving 8 systems: commands queue at the
-    # subchannels and at the CF engine on most requests
-    cfg = scaled_config(8, 1, seed=1,
-                        cf=CfConfig(n_cpus=1, cmd_service=12e-6,
-                                    data_cmd_service=24e-6))
-    verify = RunOptions(profile="verify")
-
-    monkeypatch.setattr(commands, "FAST_PATH", False)
-    plex_gen, res_gen = _run(cfg, options=verify)
-    assert all(p.fast_syncs == 0 for p in _ports(plex_gen))
-
-    monkeypatch.setattr(commands, "FAST_PATH", True)
-    plex_fast, res_fast = _run(cfg, options=verify)
-    assert sum(p.fast_syncs for p in _ports(plex_fast)) > 0
-
-    # contended by construction: the lone CF processor is the bottleneck
-    assert res_gen.cf_utilization > 0.5
-    assert res_fast.to_dict() == res_gen.to_dict()
-
-
+# ------------------------------------------------------- collapse trade ----
 def test_collapsed_mode_statistically_neutral():
     """The sweep profile merges events (not byte-safe at saturation) but
     must stay statistically indistinguishable from the golden path."""
@@ -140,21 +113,25 @@ def _grid_specs():
     return {s.label: s for s in fig3_specs() + tab1_specs()}
 
 
-def _payload_sha(spec):
-    payload = json.loads(canonical_json(_payload_from(spec.run())))
+def _result_sha(result):
+    payload = json.loads(canonical_json(_payload_from(result)))
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest(), payload
+
+
+def _payload_sha(spec):
+    return _result_sha(spec.run())
 
 
 #: Default byte-identity coverage: one point per grid family (TCMP,
 #: small/medium plex, the non-sharing base, the DS-overhead pairs) keeps
 #: the test under ~15 s.  Set ``REPRO_FULL_GRID=1`` to check all 22
-#: points (~80 s) — the CI golden-grid job does.
+#: points (~80 s per profile) — the CI golden-grid job does.
 _SUBSET = ("base-1cpu", "tcmp-4", "tcmp-10", "plex-1", "plex-4", "plex-8",
            "1-system no-DS", "2-system DS", "8-system DS")
 
 
 def test_verify_profile_reproduces_golden_grid():
-    """The heapq/verify backend is byte-identical to pre-refactor main."""
+    """The verify profile is byte-identical to pre-refactor main."""
     fixture = json.loads(GOLDEN_GRID.read_text())
     golden = {p["label"]: p for p in fixture["points"]}
     labels = (list(golden) if os.environ.get("REPRO_FULL_GRID")
@@ -203,7 +180,7 @@ def test_small_pool_nonsharing_reproduces_golden():
 
 
 def test_sweep_default_statistically_neutral_vs_golden():
-    """COLLAPSE-by-default: sweep payloads stay within statistical
+    """Collapse-by-default: sweep payloads stay within statistical
     tolerance of the golden fixtures.  The deltas are exact per-seed
     numbers (both paths are deterministic), not machine noise; the worst
     observed throughput delta across the 22-point grid is 6.7%."""
@@ -221,34 +198,73 @@ def test_sweep_default_statistically_neutral_vs_golden():
             g["response_mean"], rel=0.25), label
 
 
-def test_scheduler_backends_byte_identical():
-    """heap vs calendar under identical options: identical payload bytes."""
-    spec = _grid_specs()["tcmp-4"]
-    sha_h, _ = _payload_sha(spec.replace(scheduler="heap"))
-    sha_c, _ = _payload_sha(spec.replace(scheduler="calendar"))
-    assert sha_h == sha_c
+def test_sweep_profile_reproduces_golden_sweep():
+    """The default sweep profile is byte-pinned too: the grid subset (all
+    22 points with ``REPRO_FULL_GRID=1``) replays its recorded payloads."""
+    fixture = json.loads(GOLDEN_SWEEP.read_text())
+    golden = {p["label"]: p for p in fixture["points"]}
+    specs = _grid_specs()
+    labels = (list(specs) if os.environ.get("REPRO_FULL_GRID")
+              else list(_SUBSET))
+    for label in labels:
+        sha, _payload = _payload_sha(specs[label].replace(profile="sweep"))
+        assert sha == golden[label]["payload_sha256"], label
+
+
+def test_sweep_subchannel_fallback_reproduces_golden():
+    """Six engines per system contend for the subchannels, so some sync
+    commands leave the collapsed frame for the general path mid-command;
+    that handoff replays its recorded payload and fallback count."""
+    point = json.loads(GOLDEN_SWEEP.read_text())["points"][-1]
+    cfg = scaled_config(point["n_systems"], point["n_cpus"],
+                        seed=point["seed"])
+    plex, result = _run(cfg, duration=point["duration"],
+                        warmup=point["warmup"], options=RunOptions(),
+                        label=point["label"])
+    sha, _payload = _result_sha(result)
+    assert sha == point["payload_sha256"]
+    ports = list(_ports(plex))
+    syncs = sum(p.sync_ops for p in ports)
+    assert syncs == point["sync_ops"]
+    assert syncs - sum(p.fast_syncs for p in ports) \
+        == point["subchannel_fallbacks"]
 
 
 # ------------------------------------------------------ robustness gating ----
 def test_request_timeout_disables_fast_path():
     """Chaos/robustness runs (request_timeout set) need the general path's
-    retry/ICC machinery — the fast path must never engage."""
+    retry/ICC machinery — the collapse gate stays off even under sweep."""
     cfg = scaled_config(2, 1, seed=1,
                         cf=CfConfig(request_timeout=0.005))
-    plex, result = _run(cfg, duration=0.15, warmup=0.1)
+    plex, result = _run(cfg, duration=0.15, warmup=0.1,
+                        options=RunOptions(profile="sweep"))
     ports = list(_ports(plex))
-    assert ports and all(not p._fast for p in ports)
+    assert ports and all(not p._collapse for p in ports)
     assert all(p.fast_syncs == 0 for p in ports)
     assert sum(p.sync_ops for p in ports) > 0
     assert result.completed > 0
 
 
 def test_tracing_disables_fast_path():
+    """Span tracing lives on the general path only: a traced sweep run
+    keeps the collapse gate off on every port."""
     cfg = scaled_config(2, 1, seed=1)
     plex, _gen = build_loaded_sysplex(
-        cfg, options=RunOptions(tracing=True))
+        cfg, options=RunOptions(profile="sweep", tracing=True))
     ports = list(_ports(plex))
-    assert ports and all(not p._fast for p in ports)
+    assert ports and all(not p._collapse for p in ports)
+
+
+def test_verify_profile_keeps_the_collapse_gate_off():
+    """verify runs every CF command on the general path: no port
+    collapses and ``fast_syncs`` reads 0."""
+    cfg = scaled_config(2, 1, seed=1)
+    plex, _ = _run(cfg, duration=0.1, warmup=0.05,
+                   options=RunOptions(profile="verify"))
+    ports = list(_ports(plex))
+    assert ports and all(not p._collapse for p in ports)
+    assert all(p.fast_syncs == 0 for p in ports)
+    assert sum(p.sync_ops for p in ports) > 0
 
 
 # ------------------------------------------------------ kernel primitives ----

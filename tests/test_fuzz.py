@@ -213,21 +213,7 @@ def test_expect_no_misses_requires_the_cache():
         exp_main.main(["--filter", "tab1", "--no-cache", "--expect-no-misses"])
 
 
-# ------------------------------------------------ kernel execution axes ----
-def test_scheduler_and_collapse_are_fuzz_dimensions():
-    names = {d.name for d in DIMENSIONS}
-    assert "options.scheduler" in names
-    assert "options.collapse" in names
-
-
-def test_cross_backend_determinism():
-    """The byte-determinism contract holds *across* calendar backends:
-    the same spec run on heap and on calendar produces identical
-    canonical payloads (collapse on and off alike)."""
-    from repro.runspec import canonical_json
-
-    spec = base_spec(seed=3, **GEOMETRY)
-    for collapse in (False, True):
-        heap = spec.replace(scheduler="heap", collapse=collapse).run()
-        cal = spec.replace(scheduler="calendar", collapse=collapse).run()
-        assert canonical_json(heap) == canonical_json(cal), collapse
+# ---------------------------------------------------- execution axis ----
+def test_profile_is_a_fuzz_dimension():
+    dims = {d.name: d for d in DIMENSIONS}
+    assert dims["options.profile"].choices == ("sweep", "verify")

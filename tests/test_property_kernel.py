@@ -3,74 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import Resource, Simulator, Store, zipf_weights
-from repro.simkernel.core import CalendarScheduler, HeapScheduler
-
-
-@given(
-    st.lists(
-        st.tuples(
-            # `when` spans twelve orders of magnitude so schedules cross
-            # many calendar buckets, collide inside one, and force the
-            # occupancy-driven width retune
-            st.one_of(
-                st.floats(0, 1e-6),
-                st.floats(0, 1.0),
-                st.floats(0, 1e6),
-                st.just(0.0),
-                st.just(float("inf")),
-            ),
-            st.integers(0, 1),       # priority (URGENT/NORMAL)
-        ),
-        min_size=0, max_size=200,
-    ),
-    st.integers(0, 100),
-)
-@settings(max_examples=120, deadline=None)
-def test_calendar_scheduler_matches_heap_pop_order(items, interleave):
-    """Both backends drain any schedule in the exact (when, priority,
-    seq) total order — including pushes interleaved mid-drain, the
-    same-instant cascade case the kernel's run loop depends on."""
-    heap, cal = HeapScheduler(), CalendarScheduler()
-    seq = 0
-    schedule = []
-    for when, prio in items:
-        seq += 1
-        schedule.append((when, prio, seq, object()))
-    # push the first part up front, hold the rest back to inject
-    # mid-drain (at the popped item's timestamp, like a real cascade)
-    up_front, held = schedule[interleave:], schedule[:interleave]
-    set_up_front = set(up_front)
-    for item in up_front:
-        heap.push(item)
-        cal.push(item)
-    inf = float("inf")
-    popped_h, popped_c = [], []
-    while True:
-        h = heap.pop_until(inf)
-        c = cal.pop_until(inf)
-        assert h == c
-        if h is None:
-            break
-        popped_h.append(h)
-        popped_c.append(c)
-        if held:
-            when, prio, _s, payload = held.pop()
-            seq += 1
-            # never in the past: re-time the injected item to the
-            # current drain instant (a same-instant cascade) or later
-            item = (max(when, h[0]), prio, seq, payload)
-            heap.push(item)
-            cal.push(item)
-    assert popped_h == popped_c
-    # time never runs backwards (full (when, priority, seq) sortedness
-    # only holds for the up-front pushes: an item injected mid-drain at
-    # the current instant with URGENT priority pops after same-instant
-    # items that drained before it existed — on both backends alike)
-    whens = [i[0] for i in popped_h]
-    assert whens == sorted(whens)
-    up_front_popped = [i for i in popped_h if i in set_up_front]
-    assert up_front_popped == sorted(up_front_popped, key=lambda i: i[:3])
-    assert len(heap) == len(cal) == 0
 
 
 @given(

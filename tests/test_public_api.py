@@ -49,6 +49,17 @@ def test_run_options_dict_round_trip():
     assert set(opts.to_dict()) == OPTION_FIELDS
 
 
+def test_run_options_from_dict_maps_retired_execution_keys():
+    """Options saved with the retired per-knob overrides still load: the
+    calendar choice is dropped and a collapse override becomes its
+    profile."""
+    assert (RunOptions.from_dict({"scheduler": "calendar", "collapse": False})
+            == RunOptions(profile="verify"))
+    assert RunOptions.from_dict({"collapse": None}) == RunOptions()
+    assert (RunOptions.from_dict({"profile": "verify", "collapse": True})
+            == RunOptions(profile="sweep"))
+
+
 # --------------------------------------------------- RunSpec folds options ----
 def test_runspec_round_trips_options():
     spec = RunSpec(config=small_cfg(), duration=0.2, warmup=0.1,

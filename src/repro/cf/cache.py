@@ -27,7 +27,7 @@ the directory's latest) is enforced by the structure and property-tested.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .structure import Connector, Structure
 
@@ -207,45 +207,48 @@ class CacheStructure(Structure):
         self.xi_signals += n
         return n
 
-    def prewarm_many(self, conn: Connector, pairs) -> None:
+    def prewarm_many(self, conn: Connector, names: Sequence[object],
+                     bits: Sequence[int]) -> None:
         """Bulk :meth:`register_and_read` for benchmark prewarm.
 
-        ``pairs`` is an iterable of ``(name, bit_index)``.  Produces the
-        exact final state and statistics of calling
-        :meth:`register_and_read` once per pair (the returned hit/miss
-        tuples are what prewarm discards anyway), with the per-call
-        overhead — attribute chains, vector growth checks, counter
-        stores — hoisted out of the loop.  Runs pre-simulation, so it
-        must stay a plain state transform: no events, no clock reads.
+        Registers ``names[i]`` at vector bit ``bits[i]`` for each ``i``
+        (the two sequences have the same length).  Produces the exact
+        final state and statistics of calling :meth:`register_and_read`
+        once per pair (the returned hit/miss tuples are what prewarm
+        discards anyway), with what does not vary per pair hoisted out of
+        the loop: the vector grows once, ``reads`` is added once, and a
+        newly created entry (already at the LRU tail, unchanged, no data)
+        skips the LRU moves and the hit count.  Runs pre-simulation, so
+        it must stay a plain state transform: no events, no clock reads.
         """
         self._check()
+        if not names:
+            return
         d = self._dir
         move_to_end = d.move_to_end
         changed_move = self._changed.move_to_end
         directory_entries = self.directory_entries
         cid = conn.conn_id
         vector = self.vectors[cid]
-        bits = vector._bits
-        reads = 0
+        vector._grow(max(bits))
+        vbits = vector._bits
         hits = 0
-        for name, bit in pairs:
+        for name, bit in zip(names, bits):
             entry = d.get(name)
             if entry is None:
                 if len(d) >= directory_entries:
                     self._reclaim_directory()
                 entry = d[name] = _DirEntry()
+            else:
+                move_to_end(name)
+                if entry.changed:
+                    changed_move(name)
+                if entry.has_data:
+                    hits += 1
             entry.registrants[cid] = bit
             entry.seen[cid] = entry.version
-            if bit >= len(bits):  # LocalVector.set_valid, inlined
-                bits.extend([False] * (bit + 1 - len(bits)))
-            bits[bit] = True
-            move_to_end(name)
-            if entry.changed:
-                changed_move(name)
-            if entry.has_data:
-                hits += 1
-            reads += 1
-        self.reads += reads
+            vbits[bit] = True
+        self.reads += len(names)
         self.read_hits += hits
 
     def unregister(self, conn: Connector, name: object) -> None:

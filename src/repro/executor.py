@@ -56,6 +56,7 @@ ships exactly the bytes a cache file would contain.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -141,7 +142,13 @@ def run_task(spec_dict: dict, cache_root: Optional[str] = None
         hit = ResultCache(cache_root).get(spec)
         if hit is not None:
             return hit, True
-    payload = json.loads(canonical_json(_payload_from(spec.run())))
+    result = spec.run()
+    # A finished simulation is cyclic garbage (processes, generators,
+    # events), and run_oltp pauses the cycle collector over the next
+    # point's run.  Free it now, while little else is live, so that it
+    # is not still resident while the next point runs.
+    gc.collect()
+    payload = json.loads(canonical_json(_payload_from(result)))
     return payload, False
 
 

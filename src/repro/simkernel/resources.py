@@ -14,9 +14,9 @@ models buffer-pool free space and similar counted capacity.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, List, Optional
+from typing import Any, List
 
-from .core import _PENDING, _PROCESSED, _TRIGGERED, Event, Simulator, NORMAL
+from .core import _PENDING, _TRIGGERED, Event, Simulator, NORMAL
 
 __all__ = ["Resource", "Request", "Store", "Container"]
 
@@ -127,28 +127,6 @@ class Resource:
             self._seq += 1
             req._key = (priority, self._seq)
             heappush(self._waiters, (priority, self._seq, req))
-        return req
-
-    def try_acquire(self, priority: int = NORMAL) -> Optional[Request]:
-        """Claim one unit *now*, without scheduling any event.
-
-        Returns a granted (already-processed) :class:`Request` when a unit
-        is free and nobody is queued, else ``None`` (the caller should fall
-        back to :meth:`request`).  Yielding the returned request from a
-        process is a harmless no-op — the kernel feeds a processed event's
-        value straight back — so fast paths can keep the same ``yield req``
-        shape as the general path.  Release via ``req.cancel()`` as usual.
-        """
-        users = self.users
-        if len(users) + self._held >= self.capacity or self._waiters:
-            return None
-        req = Request(self, priority)
-        now = self.sim._now
-        self._busy_area += (len(users) + self._held) * (now - self._last_change)
-        self._last_change = now
-        users.add(req)
-        req._value = req
-        req._state = _PROCESSED
         return req
 
     def claim(self) -> bool:

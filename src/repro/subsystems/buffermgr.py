@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from itertools import count, islice
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from ..cf.cache import CacheStructure
 from ..config import DatabaseConfig
@@ -40,17 +40,15 @@ __all__ = ["BufferManager", "CastoutEngine"]
 PAGE_BYTES = 4096
 
 
-class _Buffer:
-    __slots__ = ("page", "slot", "dirty")
-
-    def __init__(self, page: object, slot: int):
-        self.page = page
-        self.slot = slot
-        self.dirty = False
-
-
 class BufferManager:
-    """One database-manager instance's local buffer pool."""
+    """One database-manager instance's local buffer pool.
+
+    The pool is a map from page to buffer slot, in LRU order with the
+    cold end first; the slot is the page's local-vector bit in data
+    sharing.  Pages with unexternalized updates are in one dirty set.  A
+    dirty page is never stolen, so the dirty set is a subset of the
+    pool's pages.
+    """
 
     def __init__(self, sim: Simulator, node, config: DatabaseConfig,
                  farm: DasdFarm, xes: Optional[XesConnection] = None,
@@ -61,12 +59,13 @@ class BufferManager:
         self.farm = farm
         self.xes = xes  # None => non-data-sharing
         self.trace = trace  # Tracer or None (zero-cost when disabled)
-        self._pool: "OrderedDict[object, _Buffer]" = OrderedDict()
+        self._pool: "OrderedDict[object, int]" = OrderedDict()
+        self._dirty: Set[object] = set()
         self._free_slots: List[int] = list(range(config.buffer_pages))
         # clean-page index (see _oldest_clean): LRU stamps of the pooled
         # pages and a min-heap of (stamp, page) over the clean ones.  Built
         # on the first steal that meets a dirty LRU head; until then it is
-        # None and no buffer pays for it.
+        # None and no page pays for it.
         self._stamps: Optional[Dict[object, int]] = None
         self._clean_heap: List[Tuple[int, object]] = []
         self._tick = count()
@@ -96,14 +95,14 @@ class BufferManager:
         transaction inner loop skip building a generator for the common
         case entirely.
         """
-        buf = self._pool.get(page)
-        if buf is None:
+        slot = self._pool.get(page)
+        if slot is None:
             return None
         xes = self.xes
         if xes is not None:
             if not xes.connector.active:
                 return None  # let get_page raise SystemDown as before
-            if not xes.structure.vector_of(xes.connector).test(buf.slot):
+            if not xes.structure.vector_of(xes.connector).test(slot):
                 return None  # cross-invalidated: get_page pays the refresh
         # _to_mru(page), inlined on the transaction inner loop
         self._pool.move_to_end(page)
@@ -122,24 +121,24 @@ class BufferManager:
             from ..hardware.cpu import SystemDown
 
             raise SystemDown(self.node.name)
-        buf = self._pool.get(page)
-        if buf is not None:
+        slot = self._pool.get(page)
+        if slot is not None:
             self._to_mru(page)
             if not self.data_sharing:
                 self.local_hits += 1
                 return "local"
             # coherency check: local vector bit test, no CF access
             vector = self.cache.vector_of(self.xes.connector)
-            if vector.test(buf.slot):
+            if vector.test(slot):
                 self.local_hits += 1
                 return "local"
             # cross-invalidated since we last touched it
             self.coherency_misses += 1
-            source = yield from self._register_and_fill(page, buf.slot, None)
+            source = yield from self._register_and_fill(page, slot, None)
             return source
 
         # true miss: steal the LRU buffer
-        buf, old_name = self._allocate(page)
+        slot, old_name = self._allocate(page)
         if not self.data_sharing:
             tr = self.trace
             if tr is None:
@@ -148,11 +147,11 @@ class BufferManager:
                 yield from tr.traced("io", self.farm.read_page(page))
             self.dasd_reads += 1
             return "dasd"
-        source = yield from self._register_and_fill(page, buf.slot, old_name)
+        source = yield from self._register_and_fill(page, slot, old_name)
         return source
 
-    def _allocate(self, page: object):
-        """Find a slot for ``page``; returns (buffer, stolen_page_or_None).
+    def _allocate(self, page: object) -> Tuple[int, Optional[object]]:
+        """Find a slot for ``page``; returns (slot, stolen_page_or_None).
 
         The victim is the oldest clean page in LRU order; when every
         pooled page is dirty the pool grows by one buffer instead.
@@ -162,34 +161,33 @@ class BufferManager:
         if self._free_slots:
             slot = self._free_slots.pop()
         else:
-            victim_page, victim = pool.popitem(last=False)
-            if victim.dirty:
+            victim_page, slot = pool.popitem(last=False)
+            if victim_page in self._dirty:
                 # with force-at-commit this cannot happen in data-sharing
                 # mode; in non-sharing mode the deferred writer owns dirty
                 # pages, so push it back and steal the oldest clean one
-                pool[victim_page] = victim
+                pool[victim_page] = slot
                 pool.move_to_end(victim_page, last=False)
                 victim_page = self._oldest_clean()
                 if victim_page is None:
                     # everything dirty: temporarily extend the pool
                     slot = self.config.buffer_pages + len(pool)
                     return self._insert(page, slot), None
-                victim = pool.pop(victim_page)
+                slot = pool.pop(victim_page)
             if self._stamps is not None:
                 del self._stamps[victim_page]
-            slot = victim.slot
             old_name = victim_page if self.data_sharing else None
         return self._insert(page, slot), old_name
 
-    def _insert(self, page: object, slot: int) -> _Buffer:
-        """Pool a new, clean buffer for ``page`` at the MRU end."""
-        buf = _Buffer(page, slot)
-        self._pool[page] = buf
+    def _insert(self, page: object, slot: int) -> int:
+        """Pool ``page``, clean, in ``slot`` at the MRU end; returns the
+        slot."""
+        self._pool[page] = slot
         stamps = self._stamps
         if stamps is not None:
             stamp = stamps[page] = next(self._tick)
             self._index_clean(stamp, page)
-        return buf
+        return slot
 
     def _to_mru(self, page: object) -> None:
         """Move a pooled page to the MRU end of the LRU chain."""
@@ -210,10 +208,10 @@ class BufferManager:
         stamp order, so the clean entries form a sorted list, which is a
         valid heap without a sort.  Also compacts a heap that has grown
         past twice the pool."""
-        pool = self._pool
+        pool, dirty = self._pool, self._dirty
         self._stamps = dict(zip(pool, count()))
-        self._clean_heap = [(stamp, page) for stamp, (page, buf)
-                            in enumerate(pool.items()) if not buf.dirty]
+        self._clean_heap = [(stamp, page) for stamp, page in enumerate(pool)
+                            if page not in dirty]
         self._tick = count(len(pool))
 
     def _index_clean(self, stamp: int, page: object) -> None:
@@ -228,11 +226,11 @@ class BufferManager:
         Pops the page's own heap entry; the caller steals the page."""
         if self._stamps is None:
             self._index_pool()
-        stamps, heap, pool = self._stamps, self._clean_heap, self._pool
+        stamps, heap, dirty = self._stamps, self._clean_heap, self._dirty
         while heap:
             stamp, page = heap[0]
             current = stamps.get(page)
-            if current is None or pool[page].dirty:
+            if current is None or page in dirty:
                 # stolen, or dirty: its next clean transition re-files it
                 heapq.heappop(heap)
             elif current != stamp:
@@ -281,19 +279,19 @@ class BufferManager:
     # -- write path ------------------------------------------------------------
     def mark_dirty(self, page: object) -> None:
         """Record a local update (the caller holds an EXCL lock)."""
-        buf = self._pool.get(page)
-        if buf is None:
+        if page not in self._pool:
             raise KeyError(f"page {page!r} not in pool — read before write")
-        buf.dirty = True
+        self._dirty.add(page)
         self._to_mru(page)
 
-    def mark_clean(self, buf: _Buffer) -> None:
-        """The one dirty→clean transition: ``buf``'s page is externalized
-        (CF write at commit, or deferred DASD write).  A dirty buffer is
-        never stolen, so ``buf`` is still pooled."""
-        buf.dirty = False
+    def mark_clean(self, page: object) -> None:
+        """The one dirty→clean transition: ``page`` is externalized (CF
+        write at commit, or deferred DASD write).  A dirty page is never
+        stolen, so ``page`` is still pooled, in the slot it was dirtied
+        in."""
+        self._dirty.discard(page)
         if self._stamps is not None:
-            self._index_clean(self._stamps[buf.page], buf.page)
+            self._index_clean(self._stamps[page], page)
 
     def commit_writes(self, pages) -> Generator:
         """Process step: externalize a transaction's changed pages.
@@ -305,9 +303,9 @@ class BufferManager:
         """
         if not self.data_sharing:
             return  # pages stay dirty for the deferred writer
+        dirty = self._dirty
         for page in pages:
-            buf = self._pool.get(page)
-            if buf is None or not buf.dirty:
+            if page not in dirty:
                 continue
             cache, conn = self.cache, self.xes.connector
             yield from self.xes.sync(
@@ -318,10 +316,12 @@ class BufferManager:
                 signal_wait=True,
             )
             self.pages_written += 1
-            self.mark_clean(buf)
+            self.mark_clean(page)
 
     def dirty_pages(self) -> List[object]:
-        return [p for p, b in self._pool.items() if b.dirty]
+        """The dirty pages, in LRU order."""
+        dirty = self._dirty
+        return [p for p in self._pool if p in dirty]
 
     def flush_deferred(self, limit: int = 64) -> Generator:
         """Process step: non-sharing deferred write of the ``limit``
@@ -331,51 +331,55 @@ class BufferManager:
         # a CF nothing but this writer cleans a dirty page, and a dirty page
         # is never stolen, so every page collected here is still pooled and
         # dirty when its turn comes and none is ever skipped.
-        batch = list(islice((b for b in self._pool.values() if b.dirty),
-                            limit))
-        for buf in batch:
-            self.mark_clean(buf)
-            yield from self.farm.write_page(buf.page, priority=5)
+        dirty = self._dirty
+        batch = list(islice((p for p in self._pool if p in dirty), limit))
+        for page in batch:
+            self.mark_clean(page)
+            yield from self.farm.write_page(page, priority=5)
             self.pages_written += 1
         return len(batch)
 
     def prewarm(self, pages) -> int:
-        """Seed the pool with ``pages`` at zero simulated cost.
+        """Seed the pool with ``pages`` at zero simulated cost; returns
+        how many were loaded.
 
         Benchmark setup only: stands in for the hours of production running
-        that precede any steady-state measurement.  Registers interest in
-        the CF directory exactly as a costed read would.
+        that precede any steady-state measurement.  The first distinct
+        pages not already pooled take the free slots, in the order and
+        with the slots that one costed read each would give them, and
+        register interest in the CF directory exactly as those reads
+        would.  No pool has stolen yet while it has a free slot, so there
+        is no clean-page index to file them in.
         """
         pool = self._pool
         free = self._free_slots
-        pairs = []
-        for page in pages:
-            if not free or page in pool:
-                continue
-            slot = free.pop()
-            # no _insert: a pool with a free slot has never stolen, so it
-            # has no clean-page index to file the page in
-            pool[page] = _Buffer(page, slot)
-            pairs.append((page, slot))
-        if pairs and self.data_sharing:
+        fresh = [p for p in dict.fromkeys(pages) if p not in pool]
+        del fresh[len(free):]
+        # the slots free.pop() would hand out, one per page
+        cut = len(free) - len(fresh)
+        slots = free[cut:]
+        slots.reverse()
+        del free[cut:]
+        pool.update(zip(fresh, slots))
+        if fresh and self.data_sharing:
             # bulk registration: same final CF state and statistics as one
             # register_and_read per page, minus the per-call overhead
             # (applied to both instances of a duplexed structure)
             for structure, conn in self.xes.instances():
-                structure.prewarm_many(conn, pairs)
-        return len(pairs)
+                structure.prewarm_many(conn, fresh, slots)
+        return len(fresh)
 
     def contains(self, page: object) -> bool:
         return page in self._pool
 
     def is_valid(self, page: object) -> bool:
         """Local coherency state of a pooled page (diagnostic)."""
-        buf = self._pool.get(page)
-        if buf is None:
+        slot = self._pool.get(page)
+        if slot is None:
             return False
         if not self.data_sharing:
             return True
-        return self.cache.vector_of(self.xes.connector).test(buf.slot)
+        return self.cache.vector_of(self.xes.connector).test(slot)
 
 
 class CastoutEngine:

@@ -164,15 +164,14 @@ class DatabaseManager:
                 sim.process(log._flush_loop(), name="log-flush")
             yield ev
             # buffers.commit_writes(writes): externalize changed pages
-            pool = buffers._pool
+            dirty = buffers._dirty
             xes = buffers.xes
             if xes is not None and getattr(xes, "pair", None) is not None:
                 # duplexed structure: the write must run the duplexed-write
                 # protocol (mirror to the secondary), so take the
                 # connection-level path instead of the flattened port call
                 for page in writes:
-                    buf = pool.get(page)
-                    if buf is None or not buf.dirty:
+                    if page not in dirty:
                         continue
                     yield from xes.sync(
                         lambda p=page: xes.structure.write_and_invalidate(
@@ -184,14 +183,13 @@ class DatabaseManager:
                         signal_wait=True,
                     )
                     buffers.pages_written += 1
-                    buffers.mark_clean(buf)
+                    buffers.mark_clean(page)
             elif xes is not None:
                 cache = xes.structure
                 conn = xes.connector
                 sync = xes.port.sync
                 for page in writes:
-                    buf = pool.get(page)
-                    if buf is None or not buf.dirty:
+                    if page not in dirty:
                         continue
                     yield from sync(
                         lambda p=page: cache.write_and_invalidate(conn, p),
@@ -200,7 +198,7 @@ class DatabaseManager:
                         signal_wait=True,
                     )
                     buffers.pages_written += 1
-                    buffers.mark_clean(buf)
+                    buffers.mark_clean(page)
             log.log_end(owner)
             yield from locks.unlock_all(owner)
             self.commits += 1

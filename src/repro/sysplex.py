@@ -461,14 +461,14 @@ class Sysplex:
                     if old is not None else None
                 )
                 pool = [
-                    (page, buf)
-                    for page, buf in inst.buffers._pool.items()
-                    if old_vec is None or old_vec.test(buf.slot)
+                    (page, slot)
+                    for page, slot in inst.buffers._pool.items()
+                    if old_vec is None or old_vec.test(slot)
                 ]
 
                 def reregister():
-                    for page, buf in pool:
-                        cache.register_and_read(conn, page, buf.slot)
+                    for page, slot in pool:
+                        cache.register_and_read(conn, page, slot)
 
                 yield from xconn.sync(
                     reregister, service_factor=max(1.0, 0.1 * len(pool)))

@@ -184,3 +184,68 @@ def test_hit_rate_statistics(cache, conns):
     cache.write_and_invalidate(a, "p")
     cache.register_and_read(b, "p", 0)          # hit
     assert cache.reads == 2 and cache.read_hits == 1
+
+
+# ---------------------------------------------------- bulk prewarm ----
+def _built_cache(directory_entries):
+    """A cache with a mixed directory: a changed block with data, a
+    cast-out (clean) block with data, and dataless registrations of two
+    connectors, so prewarm meets every kind of existing entry."""
+    cache = CacheStructure("C", data_elements=8,
+                           directory_entries=directory_entries)
+    a, b = cache.connect("SYS00"), cache.connect("SYS01")
+    cache.register_and_read(b, "old0", 7)
+    cache.register_and_read(a, "changed", 1)
+    cache.write_and_invalidate(b, "changed")
+    cache.register_and_read(b, "old1", 2)
+    cache.write_and_invalidate(a, "castout")
+    cache.castout_complete("castout", cache.castout("castout"))
+    cache.register_and_read(a, "old2", 4)
+    cache.write_and_invalidate(a, "changed2")
+    return cache, a, b
+
+
+def _cache_state(cache):
+    return {
+        "dir": [(name, list(e.registrants.items()), list(e.seen.items()),
+                 e.version, e.has_data, e.changed)
+                for name, e in cache._dir.items()],
+        "changed": list(cache._changed),
+        "vectors": {cid: (v._bits, v.invalidations)
+                    for cid, v in cache.vectors.items()},
+        "stats": (cache.reads, cache.read_hits, cache.reclaims,
+                  cache.xi_signals),
+    }
+
+
+#: (connector index, [(name, bit), ...]) batches, applied in order
+PREWARM_BATCHES = [
+    # duplicates, existing entries (changed with data, cast out, dataless,
+    # a peer's), new names, and bits out of order that grow the vector
+    (0, [("new0", 11), ("changed", 5), ("new0", 12), ("castout", 0),
+         ("old0", 3), ("new1", 9), ("changed2", 20), ("changed", 6)]),
+    # a second connector, on names the first just registered
+    (1, [("new1", 0), ("changed", 1), ("new2", 30), ("old2", 8)]),
+]
+
+
+@pytest.mark.parametrize("directory_entries", [100, 8])
+def test_prewarm_many_matches_register_and_read(directory_entries):
+    """prewarm_many leaves the exact state and statistics of one
+    register_and_read per pair.  With 8 directory entries the directory
+    is full before the first new name, so new entries reclaim dataless
+    ones (this batch's included) and invalidate their bits."""
+    bulk, *bulk_conns = _built_cache(directory_entries)
+    each, *each_conns = _built_cache(directory_entries)
+    assert _cache_state(bulk) == _cache_state(each)
+    for i, pairs in PREWARM_BATCHES:
+        names, bits = zip(*pairs)
+        bulk.prewarm_many(bulk_conns[i], names, bits)
+        for name, bit in pairs:
+            each.register_and_read(each_conns[i], name, bit)
+        assert _cache_state(bulk) == _cache_state(each)
+    if directory_entries == 8:
+        assert bulk.reclaims > 0 and bulk.xi_signals > 0
+    assert bulk.read_hits > 0
+    bulk.prewarm_many(bulk_conns[0], (), ())  # an empty batch is a no-op
+    assert _cache_state(bulk) == _cache_state(each)

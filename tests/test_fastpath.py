@@ -28,7 +28,7 @@ from repro.experiments.tab1_overhead import tab1_specs
 from repro.options import RunOptions
 from repro.runner import build_loaded_sysplex, run_oltp
 from repro.runspec import canonical_json
-from repro.simkernel import Resource, Simulator
+from repro.simkernel import Simulator
 
 #: events_per_committed_txn measured for the Table-1 base quick point
 #: (1 system, no data sharing, seed 1) under the golden verify profile
@@ -268,38 +268,6 @@ def test_verify_profile_keeps_the_collapse_gate_off():
 
 
 # ------------------------------------------------------ kernel primitives ----
-def test_try_acquire_grants_only_when_truly_free():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    req = res.try_acquire()
-    assert req is not None and req.processed
-    assert res.try_acquire() is None  # full
-    req.cancel()
-    assert res.try_acquire() is not None
-
-
-def test_try_acquire_defers_to_waiters():
-    """A queued waiter must keep FIFO priority over opportunistic claims."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    first = res.request()
-
-    got = []
-
-    def waiter():
-        req = res.request()
-        yield req
-        got.append("waiter")
-        req.cancel()
-
-    sim.process(waiter(), name="w")
-    sim.run(until=0.1)
-    assert res.try_acquire() is None  # unit busy AND a waiter queued
-    first.cancel()
-    sim.run(until=0.2)
-    assert got == ["waiter"]
-
-
 def test_timeout_at_matches_relative_chain():
     sim = Simulator()
     seen = []

@@ -80,7 +80,7 @@ class ScanModel:
 
 
 def _state(bm: BufferManager):
-    return [(p, b.slot, b.dirty) for p, b in bm._pool.items()]
+    return [(p, slot, p in bm._dirty) for p, slot in bm._pool.items()]
 
 
 pages = st.integers(0, N_PAGES - 1)
@@ -154,6 +154,7 @@ def _check_against_scan(ops, data_sharing: bool, indexed: bool) -> None:
         else:
             assert bm.prewarm(arg) == model.prewarm(arg)
         assert _state(bm) == model.state(), (op, arg)
+        assert bm._dirty <= set(bm._pool), (op, arg)  # dirty is never stolen
     if indexed:
         assert bm._stamps is not None
 
@@ -199,6 +200,6 @@ def test_index_is_built_only_on_a_dirty_head():
         bm.mark_dirty(4)
         bm.mark_dirty(5)
         yield from bm.get_page(6)  # all dirty: extend by one buffer
-        assert [bm._pool[p].slot for p in (2, 4, 5, 6)] == [1, 2, 0, 6]
+        assert [bm._pool[p] for p in (2, 4, 5, 6)] == [1, 2, 0, 6]
 
     mp.sim.run(until=mp.sim.process(work()))

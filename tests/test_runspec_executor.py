@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from repro.config import CpuConfig, DatabaseConfig, SysplexConfig
-from repro.executor import ResultCache, execute
+from repro import runner
+from repro.executor import ResultCache, execute, run_task
 from repro.metrics import RunResult
 from repro.runner import run_oltp
 from repro.runspec import SCHEMA_VERSION, RunSpec, canonical_json
@@ -108,6 +110,24 @@ def test_scenario_runner_returns_plain_data():
     spec = RunSpec(runner="tests.test_runspec_executor:probe_runner",
                    label="probe", params={"n": 21})
     assert execute([spec]) == [{"label": "probe", "n": 42}]
+
+
+def test_run_task_frees_the_finished_simulation(monkeypatch):
+    """run_oltp pauses the cycle collector over a run and a finished
+    sysplex is cyclic garbage, so run_task collects it before returning:
+    it must not stay resident through the next point's run."""
+    built = []
+    build = runner.build_loaded_sysplex
+
+    def spy(*args, **kwargs):
+        plex, gen = build(*args, **kwargs)
+        built.append(weakref.ref(plex))
+        return plex, gen
+
+    monkeypatch.setattr(runner, "build_loaded_sysplex", spy)
+    payload, cached = run_task(small_spec().to_dict())
+    assert not cached and payload["kind"] == "runresult"
+    assert len(built) == 1 and built[0]() is None
 
 
 # ------------------------------------------------------------ determinism ----

@@ -134,10 +134,25 @@ def test_lru_steal_reuses_slot_with_name_replacement():
 def test_prewarm_loads_and_registers(miniplex):
     mp = miniplex
     bm = mp.buffermgrs[0]
+    top = mp.config.db.buffer_pages - 1
     n = bm.prewarm([10, 11, 12])
     assert n == 3
     assert bm.contains(11)
     assert bm.cache.is_registered(bm.xes.connector, 11)
+    # each page takes the slot one costed read would have: free slots are
+    # handed out from the top down, in page order
+    assert list(bm._pool.items()) == [(10, top), (11, top - 1), (12, top - 2)]
+    # duplicates and already pooled pages load nothing and use no slot
+    assert bm.prewarm([11, 13, 13, 10, 14, 13]) == 2
+    assert bm._pool[13] == top - 3 and bm._pool[14] == top - 4
+    # more pages than free slots: the first ones fill the pool, the rest
+    # are dropped
+    assert bm.prewarm(range(100, 100 + top + 1)) == top + 1 - 5
+    assert bm._free_slots == []
+    assert bm._pool[100] == top - 5 and bm._pool[100 + top - 5] == 0
+    assert not bm.contains(100 + top - 4)
+    assert sorted(bm._pool.values()) == list(range(top + 1))
+    assert bm.prewarm([7]) == 0
 
     def work():
         src = yield from bm.get_page(10)

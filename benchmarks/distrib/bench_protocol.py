@@ -3,9 +3,9 @@
 
 The simulator is deliberately absent here — each task returns a small
 canned payload instantly, so the number measures pure protocol cost:
-frame encode/decode, dispatch, pipelining, and (de)compression.  The
-matrix is pipeline depth 1 (the v1 strict request/reply behavior) vs 4
-vs 16, compression on vs off.  The clock starts at the *first* result,
+frame encode/decode, dispatch and pipelining.  The matrix is pipeline
+depth 1 (strict request/reply) vs 4 vs 16.  The clock starts at the
+*first* result,
 so fleet spin-up (interpreter start + imports, ~0.3 s per worker) never
 pollutes the steady-state number.
 
@@ -51,14 +51,13 @@ HERE = Path(__file__).resolve().parent
 #: Bumped when the benchmark workload changes (payload shape, matrix,
 #: timing method), so BENCH_distrib.json artifacts are never compared
 #: across definitions.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Resolved by the workers, which get this directory on PYTHONPATH.
 NOOP = "bench_protocol:noop_runner"
 
-#: (depth, compress) matrix — depth 1 is the pre-pipelining baseline.
-MATRIX = [(1, False), (1, True), (4, False), (4, True),
-          (16, False), (16, True)]
+#: Pipeline depths — depth 1 is the pre-pipelining baseline.
+DEPTHS = (1, 4, 16)
 
 
 def noop_runner(spec):
@@ -132,9 +131,9 @@ class LatencyRelay:
             pass
 
 
-def run_point(specs, workers, depth, compress, latency_ms):
+def run_point(specs, workers, depth, latency_ms):
     tasks = [(i, s.to_dict()) for i, s in enumerate(specs)]
-    server = SweepServer(tasks, depth=depth, compress=compress)
+    server = SweepServer(tasks, depth=depth)
     addr = server.start("127.0.0.1:0")
     relay = None
     connect = addr
@@ -181,13 +180,12 @@ def main(argv=None) -> int:
 
     specs = bench_specs(args.tasks)
     results = {}
-    for depth, compress in MATRIX:
-        name = f"depth{depth}-{'z' if compress else 'plain'}"
+    for depth in DEPTHS:
+        name = f"depth{depth}"
         print(f"{name}: {args.tasks} tasks over {args.workers} worker(s)"
               + (f", {args.latency_ms:g}ms wire" if args.latency_ms else "")
               + "...", flush=True)
-        point = run_point(specs, args.workers, depth, compress,
-                          args.latency_ms)
+        point = run_point(specs, args.workers, depth, args.latency_ms)
         results[name] = point
         print(f"  {point['tasks_per_second']:>8.1f} tasks/s "
               f"({point['wall_seconds']:.2f}s)")
@@ -204,10 +202,10 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"report written to {args.out}")
 
-    base = results.get("depth1-plain")
+    base = results.get("depth1")
     best = max(results.values(), key=lambda r: r["tasks_per_second"])
     if base and base["tasks_per_second"]:
-        print(f"best matrix point vs depth-1 uncompressed: "
+        print(f"best matrix point vs depth 1: "
               f"{best['tasks_per_second'] / base['tasks_per_second']:.2f}x")
     return 0
 

@@ -121,7 +121,7 @@ def _fuzz_grid(points: int, seed: int) -> List[RunSpec]:
 
 def _micro_grid(points: int, seed: int) -> List[RunSpec]:
     """Tiny probe points — per-point overhead dominates, so this grid is
-    what makes protocol wins (pipelining, compression) measurable."""
+    what makes executor and wire costs (setup, pipelining) measurable."""
     from .experiments.common import scaled_config
 
     specs: List[RunSpec] = []
@@ -368,9 +368,7 @@ def _build_backend(args) -> Tuple[Optional[ExecutorBackend], int]:
     else:
         spawn, workers = spec, spec.count
     return WorkQueueBackend(
-        workers=workers, spawn=spawn, depth=args.depth,
-        compress=not args.no_compress,
-    ), args.jobs
+        workers=workers, spawn=spawn, depth=args.depth), args.jobs
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -404,8 +402,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "({address}/{name}/{python} substituted)")
     parser.add_argument("--depth", type=int, default=4,
                         help="tasks kept in flight per worker (default: 4)")
-    parser.add_argument("--no-compress", action="store_true",
-                        help="disable protocol frame compression")
     parser.add_argument("--fresh", action="store_true",
                         help="ignore (delete) any existing manifest")
     parser.add_argument("--no-retry-failed", action="store_true",

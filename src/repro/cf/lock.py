@@ -24,7 +24,7 @@ recovery.
 
 from __future__ import annotations
 
-import zlib
+import binascii
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -89,7 +89,7 @@ class LockStructure(Structure):
     # -- hashing -----------------------------------------------------------
     def entry_of(self, lock_name: object) -> int:
         """Deterministic software hash of a lock name to a table entry."""
-        return zlib.crc32(str(lock_name).encode()) % self.n_entries
+        return binascii.crc32(str(lock_name).encode()) % self.n_entries
 
     # -- mainline commands ----------------------------------------------------
     def request(self, conn: Connector, lock_name: object, mode: str) -> GrantResult:

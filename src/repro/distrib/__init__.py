@@ -7,9 +7,9 @@ structure) that any number of loosely-coupled workers drain, with the
 death of a worker surfacing as a resubmitted unit of work rather than a
 lost one.
 
-* :mod:`repro.distrib.protocol` — versioned JSON message framing
-  (optionally zlib-compressed) over TCP or unix sockets, plus address
-  parsing;
+* :mod:`repro.distrib.protocol` — one JSON object per line over TCP
+  or unix sockets, a strict protocol version check at hello, plus
+  address parsing;
 * :mod:`repro.distrib.server` — :class:`~repro.distrib.server.
   SweepServer`, the submitter-side task queue: keeps up to ``depth``
   tasks in flight per connected worker, collects results, answers
@@ -20,10 +20,11 @@ lost one.
   tasks, answers from a content-addressed cache (shared filesystem or
   over the wire) when it can, and streams canonical payloads back;
 * :mod:`repro.distrib.launcher` — who starts the fleet:
-  :class:`~repro.distrib.launcher.LocalLauncher` subprocesses,
-  :class:`~repro.distrib.launcher.CommandLauncher` shell templates, or
-  :class:`~repro.distrib.launcher.SshLauncher` ``host1:4,host2:8``
-  fleets with auto-reconnect.
+  :class:`~repro.distrib.launcher.LocalLauncher` subprocesses, or
+  :class:`~repro.distrib.launcher.CommandLauncher` command lines under
+  a restart supervisor (shell templates, or
+  :class:`~repro.distrib.launcher.SshLauncher`'s ``host1:4,host2:8``
+  fleets).
 
 Nothing here knows about experiments or simulators beyond
 :func:`repro.executor.run_task`; the protocol carries only JSON.

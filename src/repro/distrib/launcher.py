@@ -6,29 +6,29 @@ That contract is :class:`WorkerLauncher`; three implementations cover
 the useful space:
 
 * :class:`LocalLauncher` — N ``python -m repro.distrib.worker``
-  subprocesses on this host (the default spawn path);
-* :class:`CommandLauncher` — an arbitrary shell template run through
-  ``sh -c``, one process per ``count``; the escape hatch for
-  containers, schedulers, and CI;
-* :class:`SshLauncher` — a fleet described as ``"host1:4,host2:8"``
-  specs, one ``ssh`` per worker slot, with environment bootstrap,
-  automatic reconnect with exponential backoff when a remote worker
-  dies, and clean teardown (SIGTERM → the worker finishes its task,
-  sends ``bye``, exits 0).
+  subprocesses on this host (the default spawn path), unsupervised;
+* :class:`CommandLauncher` — one ``sh -c`` command line per worker
+  slot, formatted from a shell template ``count`` times, each under a
+  supervisor that restarts it with exponential backoff when it exits
+  non-zero; the escape hatch for containers, schedulers and CI;
+* :class:`SshLauncher` — a :class:`CommandLauncher` whose command lines
+  are ``exec ssh -o BatchMode=yes <host> <worker command>``, one per
+  slot of a ``"host1:4,host2:8"`` fleet.
 
-Templates (:class:`CommandLauncher` and :class:`SshLauncher`'s remote
-command) substitute ``{address}``, ``{name}`` and ``{python}``.
+Teardown SIGTERMs every process; a worker then finishes its task,
+sends ``bye`` and exits 0.  :class:`SshLauncher`'s ``exec ssh`` makes
+that signal reach the ssh client instead of a shell.
 
 Every handle returned by ``launch()`` is ``subprocess.Popen``-shaped —
 ``poll()``/``terminate()``/``kill()``/``wait()`` — which is all the
-server's liveness check needs.  :class:`SshLauncher` hands back
-supervisor handles that report "alive" while a reconnect is pending, so
-a worker bouncing across the backoff window is not mistaken for a dead
-fleet.
+server's liveness check needs.  A supervised handle reports "alive"
+while a restart is pending, so a worker bouncing across the backoff
+window is not mistaken for a dead fleet.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import shlex
 import subprocess
@@ -45,6 +45,14 @@ __all__ = [
     "parse_worker_spec",
     "worker_env",
 ]
+
+log = logging.getLogger("repro.distrib")
+
+#: Restarts a supervised worker slot gets before it is given up.
+_MAX_RESTARTS = 5
+
+#: First restart delay in seconds; it doubles per restart, up to 30 s.
+_BACKOFF_S = 1.0
 
 
 def worker_env(pythonpath: Sequence[Union[str, Path]] = ()) -> dict:
@@ -112,13 +120,11 @@ class LocalLauncher(WorkerLauncher):
 
     def __init__(self, count: int = 2,
                  pythonpath: Sequence[Union[str, Path]] = (),
-                 cache_mode: str = "auto",
-                 extra_args: Sequence[str] = ()):
+                 cache_mode: str = "auto"):
         super().__init__()
         self.count = max(1, int(count))
         self.pythonpath = list(pythonpath)
         self.cache_mode = cache_mode
-        self.extra_args = list(extra_args)
 
     def launch(self, address: str) -> List:
         env = worker_env(self.pythonpath)
@@ -126,25 +132,27 @@ class LocalLauncher(WorkerLauncher):
             self._handles.append(subprocess.Popen(
                 [sys.executable, "-m", "repro.distrib.worker",
                  "--connect", address, "--name", f"worker-{w}",
-                 "--cache-mode", self.cache_mode, *self.extra_args],
+                 "--cache-mode", self.cache_mode],
                 env=env,
             ))
         return list(self._handles)
 
 
 class CommandLauncher(WorkerLauncher):
-    """Run a shell template, ``count`` times, via ``sh -c``.
+    """Run one supervised ``sh -c`` command line per worker slot.
 
     The template is formatted with ``{address}`` (the server's bound
     address), ``{name}`` (``cmd-0``, ``cmd-1``, ...) and ``{python}``
-    (the submitter's interpreter)::
+    (the submitter's interpreter), once for each of ``count`` slots::
 
         CommandLauncher(
             "{python} -m repro.distrib.worker --connect {address} "
             "--name {name} --cache-mode proto", count=2)
 
     Processes inherit :func:`worker_env`, so a template that just execs
-    a worker needs no PYTHONPATH plumbing of its own.
+    a worker needs no PYTHONPATH plumbing of its own.  A slot whose
+    process exits non-zero is restarted with exponential backoff (see
+    :class:`_Supervised`).
     """
 
     def __init__(self, template: str, count: int = 1,
@@ -154,13 +162,21 @@ class CommandLauncher(WorkerLauncher):
         self.count = max(1, int(count))
         self.pythonpath = list(pythonpath)
 
+    def commands(self, address: str) -> List[Tuple[str, str]]:
+        """``(name, shell command line)`` for each worker slot."""
+        names = [f"cmd-{w}" for w in range(self.count)]
+        return [(name, self.template.format(
+            address=address, name=name, python=sys.executable))
+            for name in names]
+
     def launch(self, address: str) -> List:
         env = worker_env(self.pythonpath)
-        for w in range(self.count):
-            cmd = self.template.format(
-                address=address, name=f"cmd-{w}", python=sys.executable)
-            self._handles.append(
-                subprocess.Popen(["sh", "-c", cmd], env=env))
+        for name, cmd in self.commands(address):
+
+            def spawn(cmd=cmd):
+                return subprocess.Popen(["sh", "-c", cmd], env=env)
+
+            self._handles.append(_Supervised(spawn, label=name))
         return list(self._handles)
 
 
@@ -189,18 +205,17 @@ class _Supervised:
 
     Runs ``spawn()`` in a daemon thread; when the process exits
     non-zero and stop was not requested, respawns it after an
-    exponential backoff, up to ``max_restarts`` times.  ``poll()``
-    reports ``None`` (alive) while the supervisor is still trying —
-    including during the backoff sleep — so the server's all-workers-
-    dead check does not fire on a transient ssh drop.
+    exponential backoff (``_BACKOFF_S``), up to ``_MAX_RESTARTS`` times.
+    ``poll()`` reports ``None`` (alive) while the supervisor is still
+    trying — including during the backoff sleep — so the server's
+    all-workers-dead check does not fire on a transient drop.
     """
 
-    def __init__(self, spawn, label: str = "worker",
-                 max_restarts: int = 5, backoff: float = 1.0):
+    def __init__(self, spawn, label: str = "worker"):
         self._spawn = spawn
         self._label = label
-        self._max_restarts = max_restarts
-        self._backoff = backoff
+        self._max_restarts = _MAX_RESTARTS
+        self._backoff = _BACKOFF_S
         self._stopping = threading.Event()
         self._lock = threading.Lock()
         self._proc: Optional[subprocess.Popen] = None
@@ -216,8 +231,7 @@ class _Supervised:
             try:
                 proc = self._spawn()
             except OSError as exc:
-                print(f"{self._label}: launch failed: {exc}",
-                      file=sys.stderr)
+                log.error("%s: launch failed: %s", self._label, exc)
                 rc = 127
                 break
             with self._lock:
@@ -228,13 +242,13 @@ class _Supervised:
             if self._stopping.is_set() or rc == 0:
                 break
             if restarts >= self._max_restarts:
-                print(f"{self._label}: exited {rc}, giving up after "
-                      f"{restarts} restart(s)", file=sys.stderr)
+                log.error("%s: exited %d, giving up after %d restart(s)",
+                          self._label, rc, restarts)
                 break
             delay = min(30.0, self._backoff * (2 ** restarts))
             restarts += 1
-            print(f"{self._label}: exited {rc}, reconnect {restarts}/"
-                  f"{self._max_restarts} in {delay:.1f}s", file=sys.stderr)
+            log.warning("%s: exited %d, restart %d/%d in %.1fs",
+                        self._label, rc, restarts, self._max_restarts, delay)
             if self._stopping.wait(delay):
                 break
         self._returncode = rc if rc is not None else 0
@@ -271,51 +285,38 @@ class _Supervised:
         return self._returncode
 
 
-class SshLauncher(WorkerLauncher):
+class SshLauncher(CommandLauncher):
     """One ssh-launched worker per slot in a ``host1:4,host2:8`` fleet.
 
-    Each slot runs ``ssh <opts> <host> <remote command>``; the remote
-    command defaults to starting a worker from ``remote_cwd`` (or the
-    login directory) with ``--cache-mode proto``, because remote hosts
-    usually cannot see the submitter's ``.runcache`` — they read it
-    over the wire instead.  Override ``command`` (same ``{address}`` /
-    ``{name}`` / ``{python}`` placeholders) for bespoke bootstraps.
+    Each slot runs ``exec ssh -o BatchMode=yes <host> <worker command>``
+    under :class:`CommandLauncher`'s supervisor.  The worker command
+    starts ``python -m repro.distrib.worker`` from ``remote_cwd`` (or
+    the login directory) with ``remote_pythonpath`` and
+    ``--cache-mode proto``, because remote hosts usually cannot see the
+    submitter's ``.runcache`` — they read it over the wire instead.
+    Bespoke bootstraps use a :class:`CommandLauncher` template.
 
-    A remote worker that dies (lost connection, OOM, crashed spec) is
-    relaunched with exponential backoff up to ``max_restarts`` times;
-    teardown SIGTERMs the local ssh client, which forwards the signal
-    where configured and otherwise drops the connection — either way
-    the server requeues anything unfinished.
-
-    ``connect_host`` rewrites the host part of the advertised address
-    (a server bound to ``0.0.0.0`` or ``127.0.0.1`` is not reachable
-    from another machine under that name).
+    Teardown SIGTERMs the local ssh client, which drops the connection;
+    the server requeues anything unfinished.  ``connect_host`` rewrites
+    the host part of the advertised address (a server bound to
+    ``0.0.0.0`` or ``127.0.0.1`` is not reachable from another machine
+    under that name).
     """
 
     def __init__(self, hosts: Union[str, Sequence[str]],
                  python: str = "python3",
                  remote_cwd: Optional[str] = None,
                  remote_pythonpath: Optional[str] = None,
-                 connect_host: Optional[str] = None,
-                 cache_mode: str = "proto",
-                 command: Optional[str] = None,
-                 ssh_args: Sequence[str] = ("-o", "BatchMode=yes"),
-                 ssh_binary: str = "ssh",
-                 max_restarts: int = 5,
-                 backoff: float = 1.0):
-        super().__init__()
+                 connect_host: Optional[str] = None):
         self.hosts = _parse_hosts(hosts)
-        self.count = sum(n for _, n in self.hosts)
+        super().__init__(
+            "{python} -m repro.distrib.worker --connect {address} "
+            "--name {name} --cache-mode proto",
+            count=sum(n for _, n in self.hosts))
         self.python = python
         self.remote_cwd = remote_cwd
         self.remote_pythonpath = remote_pythonpath
         self.connect_host = connect_host
-        self.cache_mode = cache_mode
-        self.command = command
-        self.ssh_args = list(ssh_args)
-        self.ssh_binary = ssh_binary
-        self.max_restarts = max_restarts
-        self.backoff = backoff
 
     def _rewrite(self, address: str) -> str:
         if not self.connect_host or address.startswith("unix:"):
@@ -323,37 +324,23 @@ class SshLauncher(WorkerLauncher):
         _host, _, port = address.rpartition(":")
         return f"{self.connect_host}:{port}"
 
-    def _remote_command(self, address: str, name: str) -> str:
-        if self.command is not None:
-            return self.command.format(
-                address=address, name=name, python=self.python)
-        parts = []
+    def commands(self, address: str) -> List[Tuple[str, str]]:
+        address = shlex.quote(self._rewrite(address))
+        prefix = ""
         if self.remote_cwd:
-            parts.append(f"cd {shlex.quote(self.remote_cwd)} &&")
+            prefix += f"cd {shlex.quote(self.remote_cwd)} && "
         if self.remote_pythonpath:
-            parts.append(
-                f"PYTHONPATH={shlex.quote(self.remote_pythonpath)}")
-        parts.append(
-            f"exec {self.python} -m repro.distrib.worker "
-            f"--connect {shlex.quote(address)} --name {shlex.quote(name)} "
-            f"--cache-mode {self.cache_mode}")
-        return " ".join(parts)
-
-    def launch(self, address: str) -> List:
-        address = self._rewrite(address)
+            prefix += f"PYTHONPATH={shlex.quote(self.remote_pythonpath)} "
+        out = []
         for host, n in self.hosts:
             for slot in range(n):
                 name = f"{host.split('@')[-1]}-{slot}"
-                argv = [self.ssh_binary, *self.ssh_args, host,
-                        self._remote_command(address, name)]
-
-                def spawn(argv=argv):
-                    return subprocess.Popen(argv)
-
-                self._handles.append(_Supervised(
-                    spawn, label=f"ssh:{name}",
-                    max_restarts=self.max_restarts, backoff=self.backoff))
-        return list(self._handles)
+                remote = prefix + "exec " + self.template.format(
+                    address=address, name=shlex.quote(name),
+                    python=self.python)
+                out.append((name, f"exec ssh -o BatchMode=yes "
+                                  f"{shlex.quote(host)} {shlex.quote(remote)}"))
+        return out
 
 
 def parse_worker_spec(spec: str,

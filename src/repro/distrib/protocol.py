@@ -1,13 +1,12 @@
-"""Wire protocol: versioned, optionally compressed JSON frames.
+"""Wire protocol: one JSON frame form and a strict version check.
 
-Every message is one JSON object, normally on one UTF-8 line.  The
-conversation between server and worker (protocol version 2)::
+Every message is one JSON object in compact form on one UTF-8 line,
+at most ``MAX_FRAME`` bytes.  The conversation between server and
+worker::
 
-    worker -> {"op": "hello", "worker": "worker-0", "proto": 2,
-               "compress": true}
-    server -> {"op": "welcome", "proto": 2, "compress": true,
-               "depth": 4, "cache": "/path/.runcache" | null,
-               "cache_proto": true}
+    worker -> {"op": "hello", "worker": "worker-0", "proto": 2}
+    server -> {"op": "welcome", "proto": 2, "depth": 4,
+               "cache": "/path/.runcache" | null, "cache_proto": true}
     server -> {"op": "task", "id": 7, "spec": {...}}
             | {"op": "tasks", "tasks": [{"id": 7, "spec": {...}}, ...]}
     worker -> {"op": "result", "id": 7, "payload": {...},
@@ -23,34 +22,23 @@ conversation between server and worker (protocol version 2)::
               (clean departure: unstarted pipelined tasks go back)
     server -> {"op": "bye"}
 
-**Versioning.** The worker's ``hello`` carries the highest protocol
-version it speaks (a missing ``proto`` field means version 1 — the
-original strict request/reply protocol); the server answers with the
-minimum of both sides.  Version-2 features (batched ``tasks``/
-``results`` frames, frame compression, protocol-level cache
-read-through, clean ``bye`` with abandoned tasks) are only used when
-both ends negotiated version 2, so old workers still connect and drain
-tasks one frame at a time.  Task *pipelining* needs no version gate:
-a version-1 worker simply leaves queued ``task`` frames in its socket
-buffer and answers them in order.
+**Versioning.** Server and workers ship from the same tree, so there
+is nothing to negotiate.  The worker's ``hello`` names the protocol
+version it speaks; a server that speaks another one (or finds none)
+answers ``{"op": "error", "error": "protocol version mismatch: ..."}``
+and closes the connection, and the worker exits non-zero with that
+reason.
 
-**Compression.** When both sides offer ``compress`` at hello/welcome,
-every subsequent frame may be sent compressed: the JSON bytes are
-zlib-deflated and framed as ``z<len>\\n<blob>`` (a length-prefixed
-binary frame — JSON objects always start with ``{``, so the leading
-``z`` is unambiguous).  Payloads are large canonical JSON, which
-deflates 5-10x, so the CPU spent is nearly free real-bandwidth savings
-on anything but a loopback link.  Compression never touches payload
-*content*: the bytes that come out of :func:`recv_message` are exactly
-the bytes that went into :func:`send_message`, so the byte-determinism
-contract is transport-invariant.
+Frames carry payload bytes unchanged: what comes out of
+:func:`recv_message` is exactly what went into :func:`send_message`,
+so the byte-determinism contract does not depend on the transport.
 
-**Robustness.** A frame that cannot be parsed — truncated mid-frame,
-an unterminated line longer than ``max_line``, non-JSON garbage, a bad
-compressed blob — raises :class:`ProtocolError` with a message naming
-what was wrong.  Receivers treat that as fatal *for the one
-connection* (the peer is speaking garbage; resynchronising a framed
-stream is hopeless) and never as fatal for the server.
+**Robustness.** A frame that cannot be parsed — truncated mid-line,
+an unterminated line longer than ``max_frame``, non-JSON garbage —
+raises :class:`ProtocolError` with a message naming what was wrong.
+Receivers treat that as fatal *for the one connection* (the peer is
+speaking garbage; resynchronising a framed stream is hopeless) and
+never as fatal for the server.
 
 Addresses are strings: ``"host:port"`` for TCP (port 0 = ephemeral) or
 ``"unix:/path.sock"`` for unix-domain sockets.
@@ -60,7 +48,6 @@ from __future__ import annotations
 
 import json
 import socket
-import zlib
 from typing import Any, Optional, Tuple, Union
 
 __all__ = [
@@ -74,19 +61,12 @@ __all__ = [
     "send_message",
 ]
 
-#: Highest protocol version this build speaks.  Version 1 is the
-#: original one-line-JSON strict request/reply protocol; version 2 adds
-#: batched frames, zlib frame compression, protocol-level cache
-#: read-through and clean worker departure.
+#: The protocol version this build speaks; a peer must speak the same.
 PROTO_VERSION = 2
 
-#: Upper bound on one frame, compressed or not (a 64 MiB line is not a
-#: message, it is a bug or an attack on the submitter's memory).
+#: Upper bound on one frame (a 64 MiB line is not a message, it is a
+#: bug or an attack on the submitter's memory).
 MAX_FRAME = 64 * 1024 * 1024
-
-#: zlib level for compressed frames: level 1 already gets most of the
-#: win on canonical JSON and costs the least CPU per task.
-COMPRESS_LEVEL = 1
 
 #: (family, sockaddr) — what parse_address returns.
 Address = Tuple[int, Union[str, Tuple[str, int]]]
@@ -132,22 +112,10 @@ def connect(address: str, timeout: Optional[float] = None) -> socket.socket:
     return sock
 
 
-def send_message(wfile, message: dict, compress: bool = False) -> None:
-    """Write one message and flush.
-
-    Uncompressed frames are compact JSON + newline (protocol v1's only
-    form); with ``compress`` the JSON bytes go out zlib-deflated behind
-    a ``z<len>\\n`` header.  Only enable ``compress`` after both sides
-    negotiated it at hello/welcome.
-    """
-    data = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if compress:
-        blob = zlib.compress(data, COMPRESS_LEVEL)
-        wfile.write(b"z%d\n" % len(blob))
-        wfile.write(blob)
-    else:
-        wfile.write(data)
-        wfile.write(b"\n")
+def send_message(wfile, message: dict) -> None:
+    """Write one message as compact JSON plus a newline, and flush."""
+    wfile.write(json.dumps(message, separators=(",", ":")).encode("utf-8"))
+    wfile.write(b"\n")
     wfile.flush()
 
 
@@ -156,8 +124,7 @@ def recv_message(rfile, max_frame: int = MAX_FRAME) -> Optional[Any]:
 
     Raises :class:`ProtocolError` on anything that is not a well-formed
     frame: an unterminated line longer than ``max_frame``, a line
-    truncated by EOF, a compressed frame shorter than its declared
-    length, a blob zlib cannot inflate, or bytes that are not JSON.
+    truncated by EOF, or bytes that are not JSON.
     """
     line = rfile.readline(max_frame + 1)
     if not line:
@@ -167,42 +134,9 @@ def recv_message(rfile, max_frame: int = MAX_FRAME) -> Optional[Any]:
             f"oversized frame: line exceeds {max_frame} bytes "
             "without a newline"
         )
-    if line[:1] == b"z":
-        # length-prefixed compressed frame: z<len>\n<blob>
-        try:
-            length = int(line[1:])
-        except ValueError:
-            raise ProtocolError(
-                f"bad frame header {line[:40]!r}: expected 'z<len>'"
-            ) from None
-        if not (0 <= length <= max_frame):
-            raise ProtocolError(
-                f"oversized compressed frame: {length} bytes declared, "
-                f"limit {max_frame}"
-            )
-        blob = rfile.read(length)
-        if len(blob) < length:
-            raise ProtocolError(
-                f"truncated frame: {length} bytes declared, "
-                f"{len(blob)} received before EOF"
-            )
-        inflater = zlib.decompressobj()
-        try:
-            data = inflater.decompress(blob, max_frame)
-        except zlib.error as exc:
-            raise ProtocolError(f"bad compressed frame: {exc}") from None
-        if inflater.unconsumed_tail:
-            raise ProtocolError(
-                f"oversized compressed frame: inflates past {max_frame} bytes"
-            )
-    else:
-        if not line.endswith(b"\n"):
-            raise ProtocolError(
-                "truncated frame: EOF in the middle of a line"
-            )
-        data = line
+    if not line.endswith(b"\n"):
+        raise ProtocolError("truncated frame: EOF in the middle of a line")
     try:
-        return json.loads(data)
+        return json.loads(line)
     except ValueError:
-        head = data[:60]
-        raise ProtocolError(f"frame is not JSON: {head!r}...") from None
+        raise ProtocolError(f"frame is not JSON: {line[:60]!r}...") from None

@@ -1,17 +1,17 @@
 """The submitter-side work-queue server for distributed sweeps.
 
 A :class:`SweepServer` holds the pending ``(index, spec_dict)`` tasks of
-one sweep and serves them to worker connections.  Since protocol v2 the
-dispatch is **pipelined**: the server keeps up to ``depth`` tasks in
-flight per worker instead of the original strict pull-per-round-trip,
-so a worker always has its next task buffered locally and never idles
-for a network round trip between points.  Multi-task refills go out as
-one batched ``tasks`` frame, results may come back batched, and frames
-are zlib-compressed when the worker negotiated it at hello.
+one sweep and serves them to worker connections.  Dispatch is
+**pipelined**: the server keeps up to ``depth`` tasks in flight per
+worker, so a worker always has its next task buffered locally and never
+idles for a network round trip between points.  Multi-task refills go
+out as one batched ``tasks`` frame, and results may come back batched.
+A worker whose ``hello`` names another protocol version than this
+server's gets an ``error`` frame and is disconnected.
 
 Workers that cannot see the submitter's filesystem still skip warm
-points: a v2 worker may ask ``{"op": "cache_get", "hash": ...}`` and
-the server answers from its ``.runcache`` — protocol-level cache
+points: a worker may ask ``{"op": "cache_get", "hash": ...}`` and the
+server answers from its ``.runcache`` — protocol-level cache
 read-through.
 
 Fault model (the paper's, scaled down): a worker is allowed to die.  If
@@ -61,8 +61,8 @@ log = logging.getLogger("repro.distrib")
 #: Default bind: loopback TCP on an ephemeral port.
 DEFAULT_ADDRESS = "127.0.0.1:0"
 
-#: Default pipeline depth: tasks kept in flight per worker.  1 restores
-#: the original strict pull-per-round-trip behavior.
+#: Default pipeline depth: tasks kept in flight per worker.  1 is strict
+#: pull-per-round-trip.
 DEFAULT_DEPTH = 4
 
 _HASH_RE = re.compile(r"[0-9a-f]{8,128}")
@@ -80,14 +80,12 @@ class SweepServer:
     def __init__(self, tasks: Sequence[Tuple[int, dict]],
                  cache_root: Optional[str] = None,
                  max_resubmits: int = 3,
-                 depth: int = DEFAULT_DEPTH,
-                 compress: bool = True):
+                 depth: int = DEFAULT_DEPTH):
         self._tasks = list(tasks)
         self._total = len(self._tasks)
         self._cache_root = cache_root
         self._max_resubmits = max_resubmits
         self._depth = max(1, int(depth))
-        self._compress = compress
         self._todo: "queue.Queue[Tuple[int, dict]]" = queue.Queue()
         for task in self._tasks:
             self._todo.put(task)
@@ -235,12 +233,10 @@ class SweepServer:
     def _serve_conn(self, conn: socket.socket) -> None:
         with self._lock:
             self._active_workers += 1
-            self._ever_connected = True
         rfile = conn.makefile("rb")
         wfile = conn.makefile("wb")
         in_flight: Dict[int, Tuple[int, dict]] = {}
         worker = "?"
-        compress = False
         try:
             hello = recv_message(rfile)
             if not isinstance(hello, dict) or hello.get("op") != "hello":
@@ -249,25 +245,29 @@ class SweepServer:
                     f"{hello.get('op') if isinstance(hello, dict) else hello!r}"
                 )
             worker = str(hello.get("worker", "?"))
-            proto = min(PROTO_VERSION, int(hello.get("proto", 1)))
-            compress = bool(self._compress and proto >= 2
-                            and hello.get("compress"))
+            if hello.get("proto") != PROTO_VERSION:
+                error = (f"protocol version mismatch: server speaks "
+                         f"{PROTO_VERSION}, worker offered "
+                         f"{hello.get('proto')!r}")
+                send_message(wfile, {"op": "error", "error": error})
+                log.warning("worker %s refused: %s", worker, error)
+                return
+            with self._lock:
+                self._ever_connected = True
             send_message(wfile, {
                 "op": "welcome",
-                "proto": proto,
-                "compress": compress,
+                "proto": PROTO_VERSION,
                 "depth": self._depth,
                 "cache": self._cache_root,
-                "cache_proto": bool(proto >= 2 and self._cache_root),
+                "cache_proto": bool(self._cache_root),
             })
-            log.info("worker %s connected (proto %d%s)", worker, proto,
-                     ", compressed" if compress else "")
+            log.info("worker %s connected", worker)
             inbox: "queue.Queue" = queue.Queue()
             reader = threading.Thread(
                 target=self._read_loop, args=(rfile, inbox),
                 name=f"sweep-server-read-{worker}", daemon=True)
             reader.start()
-            self._dispatch(worker, proto, compress, wfile, inbox, in_flight)
+            self._dispatch(worker, wfile, inbox, in_flight)
         except (ConnectionError, OSError, ProtocolError, ValueError,
                 KeyError, TypeError) as exc:
             if self._closing.is_set():
@@ -297,13 +297,12 @@ class SweepServer:
             except OSError:
                 pass
 
-    def _dispatch(self, worker: str, proto: int, compress: bool,
-                  wfile, inbox: "queue.Queue",
+    def _dispatch(self, worker: str, wfile, inbox: "queue.Queue",
                   in_flight: Dict[int, Tuple[int, dict]]) -> None:
         """Multiplex one worker's inbox against the shared task queue."""
         while not self._closing.is_set():
             # refill the pipeline up to depth; multi-task refills go out
-            # as one batched frame on v2 connections
+            # as one batched frame
             batch: List[Tuple[int, dict]] = []
             while len(in_flight) < self._depth:
                 try:
@@ -316,20 +315,19 @@ class SweepServer:
                 in_flight[task[0]] = task
                 batch.append(task)
             if batch:
-                if proto >= 2 and len(batch) > 1:
+                if len(batch) > 1:
                     send_message(wfile, {
                         "op": "tasks",
                         "tasks": [{"id": i, "spec": s} for i, s in batch],
-                    }, compress)
+                    })
                 else:
-                    for i, s in batch:
-                        send_message(wfile, {"op": "task", "id": i,
-                                             "spec": s}, compress)
+                    i, s = batch[0]
+                    send_message(wfile, {"op": "task", "id": i, "spec": s})
             if not in_flight:
                 with self._lock:
                     done = self._completed >= self._total
                 if done:
-                    send_message(wfile, {"op": "bye"}, compress)
+                    send_message(wfile, {"op": "bye"})
                     log.info("worker %s released: sweep complete", worker)
                     return
             try:
@@ -348,17 +346,17 @@ class SweepServer:
             op = msg.get("op") if isinstance(msg, dict) else None
             if op == "result":
                 self._finish(worker, msg, in_flight)
-            elif op == "results" and proto >= 2:
+            elif op == "results":
                 for sub in msg.get("results", ()):
                     self._finish(worker, sub, in_flight)
             elif op == "error":
                 self._finish(worker, msg, in_flight)
-            elif op == "cache_get" and proto >= 2:
+            elif op == "cache_get":
                 send_message(wfile, {
                     "op": "cache_value",
                     "id": msg.get("id"),
                     "payload": self._cache_lookup(msg.get("hash")),
-                }, compress)
+                })
             elif op == "bye":
                 self._depart(worker, msg, in_flight)
                 return

@@ -10,12 +10,11 @@ Run one (or many, on any host that can reach the server and import
         --cache-mode proto          # no shared filesystem: read the
                                     # submitter's cache over the wire
 
-The worker offers protocol v2 at hello (batched frames, zlib frame
-compression, protocol cache read-through) and falls back to the v1
-strict request/reply loop against an old server.  The server may keep
-several tasks in flight here (pipelining); they queue locally and run
-one at a time, so the next task's bytes are already on hand when the
-current one finishes.  Consecutive cache-hit answers are batched into
+The worker names its protocol version at hello; a server that speaks
+another one refuses it, and the CLI exits 1 with the server's reason.
+The server may keep several tasks in flight here (pipelining); they
+queue locally and run one at a time, so the next task's bytes are
+already on hand when the current one finishes.  Consecutive cache-hit answers are batched into
 one ``results`` frame; computed results ship immediately so the server
 can refill the pipeline.  A runner exception becomes an ``error``
 message — the worker itself survives and asks for the next task.  The
@@ -41,6 +40,7 @@ Cache modes (``--cache-mode``):
 from __future__ import annotations
 
 import argparse
+import logging
 import signal
 import sys
 import threading
@@ -63,6 +63,8 @@ __all__ = ["GracefulExit", "main", "serve"]
 
 CACHE_MODES = ("auto", "fs", "proto", "off")
 
+log = logging.getLogger("repro.distrib")
+
 
 class GracefulExit(BaseException):
     """Raised by the signal handler to interrupt an idle ``recv`` so the
@@ -71,12 +73,12 @@ class GracefulExit(BaseException):
 
 
 def _resolve_cache(cache_mode: str, cache_root: Optional[str],
-                   welcome: dict, proto: int) -> Tuple[str, Optional[str]]:
+                   welcome: dict) -> Tuple[str, Optional[str]]:
     """Decide how this worker consults the result cache: (mode, root)."""
     import os
 
     advertised = welcome.get("cache")
-    offers_proto = bool(proto >= 2 and welcome.get("cache_proto"))
+    offers_proto = bool(welcome.get("cache_proto"))
     if cache_mode == "off":
         return "off", None
     if cache_mode == "fs":
@@ -99,18 +101,19 @@ def serve(address: str, name: str = "worker",
           cache_root: Optional[str] = None,
           connect_timeout: float = 30.0,
           *,
-          compress: bool = True,
           cache_mode: str = "auto",
           stop_event: Optional[threading.Event] = None,
           _state: Optional[dict] = None) -> int:
     """Connect to ``address`` and process tasks until told to stop.
 
-    Returns the number of tasks completed.  ``cache_root`` overrides the
-    cache directory the server advertises (pass a path that is valid on
-    *this* host when the submitter's path is not); ``cache_mode`` is the
-    policy described in the module docs.  ``stop_event`` requests a
-    graceful departure: the in-flight task finishes, unstarted tasks go
-    back to the server, and the loop returns.
+    Returns the number of tasks completed; raises
+    :class:`ProtocolError` if the server refuses the worker at hello.
+    ``cache_root`` overrides the cache directory the server advertises
+    (pass a path that is valid on *this* host when the submitter's path
+    is not); ``cache_mode`` is the policy described in the module docs.
+    ``stop_event`` requests a graceful departure: the in-flight task
+    finishes, unstarted tasks go back to the server, and the loop
+    returns.
     """
     if cache_mode not in CACHE_MODES:
         raise ValueError(f"cache_mode must be one of {CACHE_MODES}")
@@ -125,24 +128,22 @@ def serve(address: str, name: str = "worker",
     outbuf: List[dict] = []
     try:
         send_message(wfile, {"op": "hello", "worker": name,
-                             "proto": PROTO_VERSION,
-                             "compress": bool(compress)})
+                             "proto": PROTO_VERSION})
         welcome = recv_message(rfile)
         if not isinstance(welcome, dict) or welcome.get("op") != "welcome":
-            return done
-        proto = min(PROTO_VERSION, int(welcome.get("proto", 1)))
-        wire_compress = bool(compress and welcome.get("compress"))
-        mode, root = _resolve_cache(cache_mode, cache_root, welcome, proto)
+            reason = (welcome.get("error") if isinstance(welcome, dict)
+                      else None) or f"no welcome, got {welcome!r}"
+            raise ProtocolError(f"server refused this worker: {reason}")
+        mode, root = _resolve_cache(cache_mode, cache_root, welcome)
 
         def flush() -> None:
             if not outbuf:
                 return
-            if proto >= 2 and len(outbuf) > 1:
+            if len(outbuf) > 1:
                 send_message(wfile, {"op": "results",
-                                     "results": list(outbuf)}, wire_compress)
+                                     "results": list(outbuf)})
             else:
-                for m in outbuf:
-                    send_message(wfile, m, wire_compress)
+                send_message(wfile, outbuf[0])
             outbuf.clear()
 
         def ingest(msg) -> bool:
@@ -157,14 +158,12 @@ def serve(address: str, name: str = "worker",
             return False  # bye, or something we do not understand
 
         def goodbye() -> None:
-            """Flush results and hand unstarted tasks back (protocol v2)."""
+            """Flush results and hand unstarted tasks back."""
             flush()
-            if proto >= 2:
-                send_message(wfile, {
-                    "op": "bye", "worker": name,
-                    "abandoned": [t["id"] for t in pending],
-                }, wire_compress)
-                wfile.flush()
+            send_message(wfile, {
+                "op": "bye", "worker": name,
+                "abandoned": [t["id"] for t in pending],
+            })
 
         def run_one(task: dict) -> Tuple[dict, bool]:
             spec_dict = task["spec"]
@@ -174,7 +173,7 @@ def serve(address: str, name: str = "worker",
                 content_hash = RunSpec.from_dict(spec_dict).content_hash()
                 flush()  # keep frame order: results before the query
                 send_message(wfile, {"op": "cache_get", "id": task["id"],
-                                     "hash": content_hash}, wire_compress)
+                                     "hash": content_hash})
                 while True:
                     msg = recv_message(rfile)
                     if msg is None:
@@ -286,22 +285,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="how to consult the result cache: filesystem, "
                         "over the protocol (no shared FS), or not at all "
                         "(default: auto)")
-    parser.add_argument("--no-compress", action="store_true",
-                        help="do not offer zlib frame compression at hello")
     args = parser.parse_args(argv)
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
+                        format="%(message)s")
     stop = threading.Event()
     state = {"phase": "run"}
     _install_signals(stop, state)
     try:
         done = serve(args.connect, name=args.name, cache_root=args.cache,
-                     compress=not args.no_compress,
                      cache_mode=args.cache_mode,
                      stop_event=stop, _state=state)
     except (ConnectionError, OSError, ProtocolError) as exc:
-        print(f"{args.name}: connection failed: {exc}", file=sys.stderr)
+        log.error("%s: connection failed: %s", args.name, exc)
         return 1
     note = " (graceful stop)" if stop.is_set() else ""
-    print(f"{args.name}: {done} task(s) done{note}", file=sys.stderr)
+    log.info("%s: %d task(s) done%s", args.name, done, note)
     return 0
 
 

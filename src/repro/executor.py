@@ -152,11 +152,6 @@ def run_task(spec_dict: dict, cache_root: Optional[str] = None
     return payload, False
 
 
-def _run_spec_to_payload(spec_dict: dict) -> dict:
-    """Back-compat pool worker entry (pre-backend name)."""
-    return run_task(spec_dict)[0]
-
-
 class ResultCache:
     """On-disk content-addressed store: ``<root>/<spec hash>.json``.
 
@@ -411,15 +406,14 @@ class WorkQueueBackend(ExecutorBackend):
     """Drain a sweep through the :mod:`repro.distrib` work-queue server.
 
     The submitter starts a server holding the pending specs; worker
-    client processes connect, pull tasks over versioned JSON frames,
-    and stream canonical payloads back.  Dispatch is **pipelined**: the
-    server keeps up to ``depth`` tasks in flight per worker (batched
-    into single frames on protocol-v2 connections) so workers never
-    idle for a round trip between points, and frames are
-    zlib-``compress``-ed when the worker negotiates it.  A worker that
-    dies mid-task has its in-flight tasks resubmitted to the queue (up
-    to ``max_resubmits`` attempts per task); a worker whose *runner*
-    raises reports the error, which surfaces at the submitter.
+    client processes connect, pull tasks over newline-delimited JSON
+    frames, and stream canonical payloads back.  Dispatch is
+    **pipelined**: the server keeps up to ``depth`` tasks in flight per
+    worker (refills batched into single frames) so workers never idle
+    for a round trip between points.  A worker that dies mid-task has
+    its in-flight tasks resubmitted to the queue (up to
+    ``max_resubmits`` attempts per task); a worker whose *runner* raises
+    reports the error, which surfaces at the submitter.
 
     ``spawn`` selects who starts the workers:
 
@@ -451,8 +445,7 @@ class WorkQueueBackend(ExecutorBackend):
                  max_resubmits: int = 3,
                  pythonpath: Sequence[Union[str, Path]] = (),
                  startup_timeout: float = 60.0,
-                 depth: int = 4,
-                 compress: bool = True):
+                 depth: int = 4):
         self.workers = max(1, int(workers))
         self.address = address
         self.spawn = spawn
@@ -461,7 +454,6 @@ class WorkQueueBackend(ExecutorBackend):
         self.pythonpath = [str(p) for p in pythonpath]
         self.startup_timeout = startup_timeout
         self.depth = max(1, int(depth))
-        self.compress = compress
         #: The address the last server actually bound (for external
         #: workers when ``spawn=False``).
         self.last_address: Optional[str] = None
@@ -493,7 +485,6 @@ class WorkQueueBackend(ExecutorBackend):
             cache_root=cache_root,
             max_resubmits=self.max_resubmits,
             depth=self.depth,
-            compress=self.compress,
         )
         address = server.start(self.address)
         self.last_address = address

@@ -123,10 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 4; 1 = strict request/reply)",
     )
     parser.add_argument(
-        "--no-compress", action="store_true",
-        help="disable zlib frame compression on the workqueue protocol",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the on-disk result cache",
     )
@@ -200,8 +196,7 @@ def main(argv=None) -> None:
             spawn = (CommandLauncher(args.worker_cmd, count=workers)
                      if args.worker_cmd else spec)
         backend = WorkQueueBackend(workers=workers, spawn=spawn,
-                                   depth=args.depth,
-                                   compress=not args.no_compress)
+                                   depth=args.depth)
     execution = Execution(jobs=jobs, backend=backend, cache=cache,
                           csv_dir=args.csv_dir, progress=True,
                           profile="verify" if args.verify else None)

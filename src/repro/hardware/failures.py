@@ -72,10 +72,6 @@ class FailureInjector:
     def fail_cf(self, cf, at: float) -> None:
         self.at(at, f"cf-fail:{cf.name}", cf.fail)
 
-    def repair_cf(self, cf, at: float) -> None:
-        """The failed CF returns to service (empty, available for rebuild)."""
-        self.at(at, f"cf-repair:{cf.name}", cf.repair)
-
     def fail_link(self, linkset, at: float, index: int = 0) -> None:
         self.at(at, f"link-fail:{linkset.name}.{index}",
                 lambda: linkset.fail_link(index))

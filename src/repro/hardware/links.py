@@ -178,10 +178,6 @@ class MessageFabric:
     def is_registered(self, name: str) -> bool:
         return name in self._endpoints
 
-    def inbox_of(self, name: str) -> Optional[Store]:
-        entry = self._endpoints.get(name)
-        return entry[1] if entry else None
-
     def send(self, sender: str, dest: str, kind: str, payload: dict) -> None:
         """Fire-and-forget signal; delivery after wire latency + CPU.
 

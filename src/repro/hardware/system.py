@@ -75,11 +75,6 @@ class SystemNode:
         for hook in list(self._restart_hooks):
             hook(self)
 
-    def check_alive(self) -> None:
-        """Raise if this system has failed (used by mainline paths)."""
-        if not self.alive:
-            raise SystemDown(self.name)
-
     def __repr__(self) -> str:  # pragma: no cover
         state = "up" if self.alive else ("fenced" if self.fenced else "down")
         return f"<SystemNode {self.name} {state}>"

@@ -69,10 +69,6 @@ class SysplexTimer:
             self.sim.process(self._sync_loop(), name="sysplex-timer")
         return clock
 
-    def detach(self, clock: TodClock) -> None:
-        if clock in self.clocks:
-            self.clocks.remove(clock)
-
     def _sync_loop(self):
         while True:
             yield self.sim.timeout(self.sync_interval)

@@ -131,7 +131,3 @@ class SecurityManager:
         if cached is not None:
             cached[0].access = dict(profile.access)
             cached[0].version = profile.version
-
-    @property
-    def hit_rate(self) -> float:
-        return self.local_hits / self.checks if self.checks else 0.0

@@ -151,5 +151,3 @@ class WorkloadManager:
             return 3
         return max(1, min(9, sc.importance))
 
-    def utilization_snapshot(self) -> Dict[str, float]:
-        return {name: st.util for name, st in self._systems.items()}

@@ -83,7 +83,6 @@ class LockSpace:
         self._resources: Dict[object, _Resource] = {}
         #: resource -> (system_name, mode): locks of failed systems
         self.retained: Dict[object, Tuple[str, str]] = {}
-        self._retained_waiters: Dict[object, List[Event]] = {}
         self.managers: Dict[str, "LockManager"] = {}
         self.waits = 0
         self.deadlocks = 0
@@ -110,17 +109,6 @@ class LockSpace:
             return False
         _, rmode = entry
         return rmode == LockMode.EXCL or mode == LockMode.EXCL
-
-    def wait_for_retained(self, name: object) -> Event:
-        """An event fired when ``name``'s retained protection clears.
-
-        Mainline lock requests REJECT on retained conflicts (see
-        RetainedLockReject); this hook is for recovery-aware callers that
-        prefer to park until peer recovery completes.
-        """
-        ev = Event(self.sim)
-        self._retained_waiters.setdefault(name, []).append(ev)
-        return ev
 
     # -- grant / release (software truth) --------------------------------------
     def try_grant(self, name: object, owner: object, mode: str) -> bool:
@@ -214,9 +202,6 @@ class LockSpace:
         for name in [n for n, (s, _) in self.retained.items() if s == system_name]:
             del self.retained[name]
             cleared.append(name)
-            for ev in self._retained_waiters.pop(name, []):
-                if not ev.triggered:
-                    ev.succeed()
             # queued waiters blocked by the retained protection can now go
             for w in self.dispatch(name):
                 if not w.event.triggered:

@@ -66,9 +66,6 @@ class Attribution:
     #: CF command round trips per transaction (sync + async)
     cf_ops_per_txn: float = 0.0
 
-    def total_pct(self) -> float:
-        return sum(self.pct.values())
-
 
 def _stage_of(spans, idx: int) -> Optional[str]:
     """The nearest enclosing stage category of span ``idx`` (or None)."""

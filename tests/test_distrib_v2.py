@@ -1,17 +1,19 @@
-"""Protocol v2, launcher, and fleet-robustness tests for repro.distrib.
+"""Protocol, launcher, and fleet-robustness tests for repro.distrib.
 
-Complements ``test_distrib.py`` (which pins the v1-era behavior and the
-byte-determinism contract) with the version-2 surface: malformed-input
-handling, compression negotiation, pipelining depths, clean SIGTERM
-departure, spec deduplication, and the launcher layer.
+Complements ``test_distrib.py`` (which pins the byte-determinism
+contract) with malformed-input handling, the protocol version check,
+pipelining depths, clean SIGTERM departure, spec deduplication, and
+the launcher layer.
 """
 
 import io
+import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
-import zlib
 from pathlib import Path
 
 import pytest
@@ -23,13 +25,9 @@ from repro.distrib import (
     SweepServer,
     parse_worker_spec,
 )
+from repro.distrib import launcher
 from repro.distrib.launcher import LocalLauncher, _Supervised, worker_env
-from repro.distrib.protocol import (
-    MAX_FRAME,
-    connect,
-    recv_message,
-    send_message,
-)
+from repro.distrib.protocol import connect, recv_message, send_message
 from repro.executor import ResultCache, WorkQueueBackend, execute
 from repro.runspec import RunSpec, canonical_json
 
@@ -70,9 +68,9 @@ def wq(**kw):
     return WorkQueueBackend(**kw)
 
 
-def frame(message, compress=False):
+def frame(message):
     buf = io.BytesIO()
-    send_message(buf, message, compress=compress)
+    send_message(buf, message)
     return buf.getvalue()
 
 
@@ -80,18 +78,6 @@ def frame(message, compress=False):
 def test_plain_frame_round_trips():
     msg = {"op": "task", "id": 3, "spec": {"x": [1, 2, 3]}}
     assert recv_message(io.BytesIO(frame(msg))) == msg
-
-
-def test_compressed_frame_round_trips():
-    msg = {"op": "result", "payload": {"rows": list(range(200))}}
-    data = frame(msg, compress=True)
-    assert data[:1] == b"z"
-    assert recv_message(io.BytesIO(data)) == msg
-
-
-def test_compression_shrinks_real_payloads():
-    msg = {"payload": {"rows": [{"tps": 812.5, "label": "sys"}] * 100}}
-    assert len(frame(msg, compress=True)) < len(frame(msg)) / 3
 
 
 def test_eof_is_none():
@@ -114,35 +100,13 @@ def test_non_json_garbage():
         recv_message(io.BytesIO(b"GET / HTTP/1.1\r\n"))
 
 
-def test_bad_compressed_header():
-    with pytest.raises(ProtocolError, match="header"):
-        recv_message(io.BytesIO(b"zoinks\n"))
-
-
-def test_truncated_compressed_frame():
-    good = frame({"op": "x"}, compress=True)
-    with pytest.raises(ProtocolError, match="truncated"):
-        recv_message(io.BytesIO(good[:-2]))
-
-
-def test_undecompressable_blob():
-    with pytest.raises(ProtocolError, match="bad compressed"):
+def test_z_prefixed_frame_is_not_json():
+    # the deleted compressed-frame header is now just malformed input
+    with pytest.raises(ProtocolError, match="frame is not JSON"):
         recv_message(io.BytesIO(b"z4\n\xde\xad\xbe\xef"))
 
 
-def test_compressed_frame_declared_too_large():
-    with pytest.raises(ProtocolError, match="oversized"):
-        recv_message(io.BytesIO(b"z%d\nxxxx" % (MAX_FRAME + 1)))
-
-
-def test_zip_bomb_is_rejected():
-    blob = zlib.compress(b'{"a": "' + b"y" * 100_000 + b'"}', 9)
-    with pytest.raises(ProtocolError, match="inflates past"):
-        recv_message(io.BytesIO(b"z%d\n" % len(blob) + blob),
-                     max_frame=1024)
-
-
-# ------------------------------------------- negotiation, server-side ----
+# ------------------------------------------ version check, server-side ----
 def _handshake(address, hello):
     sock = connect(address, timeout=10)
     rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
@@ -158,46 +122,63 @@ def _server(n=2, **kw):
     return server, server.start("127.0.0.1:0")
 
 
-def test_negotiation_v2_with_compression():
+def test_current_hello_gets_a_welcome():
     server, addr = _server()
-    try:
-        sock, rfile, _w, welcome = _handshake(
-            addr, {"op": "hello", "worker": "t", "proto": 2,
-                   "compress": True})
-        assert welcome["proto"] == 2
-        assert welcome["compress"] is True
-        assert welcome["depth"] >= 1
-        sock.close()
-    finally:
-        server.close()
-
-
-def test_negotiation_v1_worker_gets_v1_no_compression():
-    server, addr = _server()
-    try:
-        # a v1 hello has no proto/compress fields at all
-        sock, rfile, _w, welcome = _handshake(
-            addr, {"op": "hello", "worker": "old"})
-        assert welcome["proto"] == 1
-        assert welcome["compress"] is False
-        # pipelined dispatch still speaks v1: single task frames only
-        first = recv_message(rfile)
-        assert first["op"] == "task"
-        sock.close()
-    finally:
-        server.close()
-
-
-def test_server_can_refuse_compression():
-    server, addr = _server(compress=False)
     try:
         sock, _r, _w, welcome = _handshake(
-            addr, {"op": "hello", "worker": "t", "proto": 2,
-                   "compress": True})
-        assert welcome["compress"] is False
+            addr, {"op": "hello", "worker": "t", "proto": 2})
+        assert welcome["op"] == "welcome"
+        assert welcome["proto"] == 2
+        assert welcome["depth"] >= 1
+        assert "compress" not in welcome
         sock.close()
     finally:
         server.close()
+
+
+def test_version_mismatch_gets_an_error_frame():
+    server, addr = _server()
+    try:
+        for hello in ({"op": "hello", "worker": "old", "proto": 1},
+                      {"op": "hello", "worker": "old"}):
+            sock, rfile, _w, reply = _handshake(addr, hello)
+            assert reply["op"] == "error"
+            assert reply["error"].startswith(
+                "protocol version mismatch: server speaks 2, worker "
+                "offered ")
+            assert recv_message(rfile) is None, "server hangs up"
+            sock.close()
+    finally:
+        server.close()
+
+
+def test_refused_worker_exits_nonzero_naming_the_reason():
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    addr = "127.0.0.1:%d" % listener.getsockname()[1]
+
+    def refuse():
+        conn, _peer = listener.accept()
+        with conn, conn.makefile("rb") as r, conn.makefile("wb") as w:
+            recv_message(r)
+            send_message(w, {"op": "error", "error":
+                             "protocol version mismatch: server speaks 3, "
+                             "worker offered 2"})
+
+    stub = threading.Thread(target=refuse, daemon=True)
+    stub.start()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.distrib.worker",
+             "--connect", addr, "--name", "w"],
+            env=worker_env([ROOT]), capture_output=True, text=True,
+            timeout=60)
+    finally:
+        stub.join(timeout=10)
+        listener.close()
+    assert proc.returncode != 0
+    assert "protocol version mismatch: server speaks 3" in proc.stderr
 
 
 def test_garbage_connection_does_not_sink_the_server():
@@ -232,15 +213,11 @@ def _payload_bytes(results):
     return [canonical_json(r) for r in results]
 
 
-def test_depth_one_and_compression_paths_are_byte_identical(tmp_path):
+def test_pipeline_depths_are_byte_identical(tmp_path):
     specs = probe_specs(6)
     baseline = execute(specs, jobs=1, cache=tmp_path / "base")
 
-    variants = {
-        "depth1": wq(depth=1),
-        "depth8-compressed": wq(depth=8, compress=True),
-        "uncompressed": wq(compress=False),
-    }
+    variants = {"depth1": wq(depth=1), "depth8": wq(depth=8)}
     for name, backend in variants.items():
         got = execute(specs, backend=backend,
                       cache=tmp_path / f"c-{name}")
@@ -341,13 +318,43 @@ def test_ssh_launcher_remote_command_shape():
                         remote_cwd="/srv/repro",
                         remote_pythonpath="src",
                         connect_host="submitter.local")
-    cmd = fleet._remote_command("submitter.local:4567", "db-host-0")
-    assert cmd.startswith("cd /srv/repro &&")
-    assert "PYTHONPATH=src" in cmd
-    assert "--connect submitter.local:4567" in cmd
-    assert "--cache-mode proto" in cmd
-    assert fleet._rewrite("0.0.0.0:4567") == "submitter.local:4567"
+    slots = fleet.commands("0.0.0.0:4567")
+    assert [name for name, _ in slots] == ["db-host-0", "db-host-1"]
+    assert slots[0][1] == (
+        "exec ssh -o BatchMode=yes db-host "
+        "'cd /srv/repro && PYTHONPATH=src exec python3.11 -m "
+        "repro.distrib.worker --connect submitter.local:4567 "
+        "--name db-host-0 --cache-mode proto'")
     assert fleet._rewrite("unix:/tmp/x.sock") == "unix:/tmp/x.sock"
+
+
+def test_ssh_launcher_sweeps_through_a_fake_ssh(tmp_path, monkeypatch):
+    """A full sweep over ``ssh``; the first launch fails and is restarted."""
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    launches = tmp_path / "launches"
+    fake = bindir / "ssh"
+    # ssh -o BatchMode=yes HOST COMMAND: log the call, fail the first
+    # one, then run COMMAND locally as the remote shell would
+    fake.write_text(
+        "#!/bin/sh\n"
+        f"echo \"$*\" >> '{launches}'\n"
+        f"mkdir '{tmp_path / 'failed-once'}' 2>/dev/null && exit 255\n"
+        'exec sh -c "$4"\n')
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bindir}:{os.environ['PATH']}")
+    monkeypatch.setattr(launcher, "_BACKOFF_S", 0.01)
+
+    fleet = SshLauncher("fakehost:1", python=sys.executable,
+                        remote_cwd=str(ROOT),
+                        remote_pythonpath=f"{ROOT}:{ROOT / 'src'}")
+    specs = probe_specs(5)
+    got = execute(specs, backend=wq(spawn=fleet), cache=tmp_path / "c")
+    want = execute(specs, jobs=1, cache=tmp_path / "base")
+    assert _payload_bytes(got) == _payload_bytes(want)
+    calls = launches.read_text().splitlines()
+    assert len(calls) == 2, calls  # the failed launch and its restart
+    assert all(c.startswith("-o BatchMode=yes fakehost ") for c in calls)
 
 
 def test_command_launcher_runs_the_sweep(tmp_path):
@@ -360,14 +367,16 @@ def test_command_launcher_runs_the_sweep(tmp_path):
     assert _payload_bytes(got) == _payload_bytes(want)
 
 
-def test_supervised_handle_restarts_with_backoff():
+def test_supervised_handle_restarts_with_backoff(monkeypatch):
+    monkeypatch.setattr(launcher, "_MAX_RESTARTS", 2)
+    monkeypatch.setattr(launcher, "_BACKOFF_S", 0.01)
     calls = []
 
     def spawn():
         calls.append(time.monotonic())
         return subprocess.Popen(["sh", "-c", "exit 3"])
 
-    handle = _Supervised(spawn, label="t", max_restarts=2, backoff=0.01)
+    handle = _Supervised(spawn, label="t")
     rc = handle.wait(timeout=30)
     assert rc == 3
     assert len(calls) == 3  # initial + two restarts
@@ -378,7 +387,7 @@ def test_supervised_handle_stops_on_terminate():
     def spawn():
         return subprocess.Popen(["sh", "-c", "sleep 30"])
 
-    handle = _Supervised(spawn, label="t", max_restarts=5, backoff=0.01)
+    handle = _Supervised(spawn, label="t")
     time.sleep(0.2)
     assert handle.poll() is None
     handle.terminate()

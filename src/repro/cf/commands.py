@@ -26,11 +26,12 @@ response, not the command, is what was lost).  With the default
 ``request_timeout=None`` each command makes one plain attempt — no
 extra events, no behavioural drift for non-chaos runs.
 
-**Two sync paths.**  The general path is the only one that carries
-redrive and span tracing.  Under the ``sweep`` profile a port
-without either runs the *collapsed* frame instead: the same instants
-and resource accounting in 3 calendar events instead of 8 (see
-:meth:`CfPort.sync`).
+**Two sync paths.**  Under the ``sweep`` profile a port runs the
+*collapsed* frame: the same instants, resource accounting and
+``cf.sync``/``cf.service`` spans as the general path in 3 calendar
+events instead of 8 (see :meth:`CfPort.sync`).  Only redrive
+(``request_timeout`` set) keeps a ``sweep`` port on the general path;
+``verify`` always runs it.
 """
 
 from __future__ import annotations
@@ -89,11 +90,9 @@ class CfPort:
         self._data_cmd_service = config.data_cmd_service
         self._signal_latency = config.signal_latency
         #: the collapse gate: the collapsed frame engages only when there
-        #: is nothing it could hide — no request-level robustness (chaos)
-        #: and no span tracer on either end of the command (attach tracers
-        #: at construction time)
-        self._collapse = (collapse and config.request_timeout is None
-                          and trace is None and cf.trace is None)
+        #: is no request-level robustness (chaos) for it to hide; it
+        #: records the same spans as the general path
+        self._collapse = collapse and config.request_timeout is None
 
     # -- internals ----------------------------------------------------------
     def _service(self, fn: Callable[[], Any], data: bool, signal_wait: bool,
@@ -214,6 +213,8 @@ class CfPort:
         if not self.node.alive:
             raise SystemDown(self.node.name)
         box: list = []
+        tr = self.trace
+        span = -1 if tr is None else tr.begin("cf.sync")
         if self._collapse:
             # Collapsed frame (the ``sweep`` profile): the whole round
             # trip runs here with *scalar* resource holds — an idle
@@ -277,25 +278,30 @@ class CfPort:
                     # CF processor: idle -> scalar claim (same
                     # busy-area accounting, same instants);
                     # contended -> the command queues exactly as
-                    # ``CouplingFacility.execute`` would
+                    # ``CouplingFacility.execute`` would, inside the
+                    # same ``cf.service`` span
+                    ctr = cf.trace
+                    cspan = -1 if ctr is None else ctr.begin("cf.service")
                     procs = cf.processors
-                    if procs.claim():
-                        try:
-                            yield sim.timeout(svc)
-                        finally:
-                            procs.unclaim()
-                    else:
+                    preq = None
+                    if not procs.claim():
                         preq = procs.request()
-                        try:
+                    try:
+                        if preq is not None:
                             yield preq
                             if cf.failed:
                                 raise CfFailedError(cf.name)
-                            yield sim.timeout(svc)
-                        finally:
+                        yield sim.timeout(svc)
+                        if cf.failed:
+                            raise CfFailedError(cf.name)
+                        cf.commands_executed += 1
+                    finally:
+                        if preq is None:
+                            procs.unclaim()
+                        else:
                             preq.cancel()
-                    if cf.failed:
-                        raise CfFailedError(cf.name)
-                    cf.commands_executed += 1
+                        if ctr is not None:
+                            ctr.end(cspan)
                     # structure mutation at the exact
                     # service-completion instant (it may schedule XI
                     # signals from "now")
@@ -320,10 +326,10 @@ class CfPort:
                     engines.unclaim()
                 else:
                     ereq.cancel()
+                if tr is not None:
+                    tr.end(span)
             self.sync_ops += 1
             return box[0]
-        tr = self.trace
-        span = -1 if tr is None else tr.begin("cf.sync")
         cpu = self.node.cpu
         req = cpu.engines.request()
         start = -1.0

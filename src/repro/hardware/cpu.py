@@ -77,21 +77,6 @@ class CpuComplex:
             else:
                 req.cancel()
 
-    def spin(self, duration: float, priority: int = NORMAL) -> Generator:
-        """Hold an engine for a fixed *wall* duration (CPU-synchronous CF
-        command round trip: the engine spins, no task switch)."""
-        if duration <= 0:
-            return
-        req = self.engines.request(priority)
-        try:
-            yield req
-            if self.offline:
-                raise SystemDown(self.name)
-            self.busy_seconds += duration
-            yield self.sim.timeout(duration)
-        finally:
-            req.cancel()
-
     # -- degradation (sick but not dead) -------------------------------------
     def degrade(self, factor: float) -> None:
         """Slow every engine by ``factor`` without taking the system down.
@@ -143,10 +128,6 @@ class CpuComplex:
     def reset_stats(self) -> None:
         self.engines.reset_stats()
         self.busy_seconds = 0.0
-
-    def effective_engines(self) -> float:
-        """Analytic effective capacity (reference engines) of this complex."""
-        return self.config.effective_engines()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CpuComplex {self.name} {self.n_cpus}-way>"

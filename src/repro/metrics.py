@@ -44,7 +44,7 @@ class RunResult:
     def events_per_committed_txn(self) -> float:
         """Kernel events processed per committed transaction.
 
-        The macro-benchmark efficiency metric: wall time divides into
+        The simulator's efficiency metric: wall time divides into
         events/txn (how much machinery one transaction costs) times
         seconds/event (kernel speed).  Fast-path work lowers the former
         without touching model results."""

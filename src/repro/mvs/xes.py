@@ -266,7 +266,7 @@ class XesServices:
         #: each system's ports share a seeded backoff-jitter stream
         self.streams = streams
         #: per-sysplex CF-command collapse policy, threaded into every
-        #: CfPort (each port still gates it on robustness and tracing)
+        #: CfPort (each port still gates it on request-level robustness)
         self.collapse = collapse
         self.facilities: List[CouplingFacility] = []
         #: structure name -> DuplexPair for every duplexed structure

@@ -34,6 +34,7 @@ from ..config import DatabaseConfig
 from ..hardware.dasd import DasdFarm
 from ..mvs.xes import XesConnection
 from ..simkernel import Simulator
+from ..trace import traced
 
 __all__ = ["BufferManager", "CastoutEngine"]
 
@@ -47,7 +48,8 @@ class BufferManager:
     cold end first; the slot is the page's local-vector bit in data
     sharing.  Pages with unexternalized updates are in one dirty set.  A
     dirty page is never stolen, so the dirty set is a subset of the
-    pool's pages.
+    pool's pages.  Nor is a page whose miss is still being read in: its
+    reader may update it the moment the read ends.
     """
 
     def __init__(self, sim: Simulator, node, config: DatabaseConfig,
@@ -61,6 +63,8 @@ class BufferManager:
         self.trace = trace  # Tracer or None (zero-cost when disabled)
         self._pool: "OrderedDict[object, int]" = OrderedDict()
         self._dirty: Set[object] = set()
+        #: pooled pages whose get_page miss is in flight (never stolen)
+        self._reading: Set[object] = set()
         self._free_slots: List[int] = list(range(config.buffer_pages))
         # clean-page index (see _oldest_clean): LRU stamps of the pooled
         # pages and a min-heap of (stamp, page) over the clean ones.  Built
@@ -137,17 +141,18 @@ class BufferManager:
             source = yield from self._register_and_fill(page, slot, None)
             return source
 
-        # true miss: steal the LRU buffer
+        # true miss: steal the LRU buffer, and pin the page until its
+        # data is in (the caller may dirty it the moment the read ends)
         slot, old_name = self._allocate(page)
-        if not self.data_sharing:
-            tr = self.trace
-            if tr is None:
-                yield from self.farm.read_page(page)
-            else:
-                yield from tr.traced("io", self.farm.read_page(page))
-            self.dasd_reads += 1
-            return "dasd"
-        source = yield from self._register_and_fill(page, slot, old_name)
+        self._reading.add(page)
+        try:
+            if not self.data_sharing:
+                yield from traced(self.trace, "io", self.farm.read_page(page))
+                self.dasd_reads += 1
+                return "dasd"
+            source = yield from self._register_and_fill(page, slot, old_name)
+        finally:
+            self._unpin(page)
         return source
 
     def _allocate(self, page: object) -> Tuple[int, Optional[object]]:
@@ -162,10 +167,10 @@ class BufferManager:
             slot = self._free_slots.pop()
         else:
             victim_page, slot = pool.popitem(last=False)
-            if victim_page in self._dirty:
-                # with force-at-commit this cannot happen in data-sharing
-                # mode; in non-sharing mode the deferred writer owns dirty
-                # pages, so push it back and steal the oldest clean one
+            if victim_page in self._dirty or victim_page in self._reading:
+                # in non-sharing mode the deferred writer owns dirty pages,
+                # and a page being read in is about to be used: push it
+                # back and steal the oldest clean, unpinned one
                 pool[victim_page] = slot
                 pool.move_to_end(victim_page, last=False)
                 victim_page = self._oldest_clean()
@@ -188,6 +193,15 @@ class BufferManager:
             stamp = stamps[page] = next(self._tick)
             self._index_clean(stamp, page)
         return slot
+
+    def _unpin(self, page: object) -> None:
+        """A miss's read ended: ``page`` may be stolen again, so a clean
+        pooled page goes back into the clean-page index, which
+        :meth:`_oldest_clean` may have dropped it from meanwhile."""
+        self._reading.discard(page)
+        stamps = self._stamps
+        if stamps is not None and page in stamps and page not in self._dirty:
+            self._index_clean(stamps[page], page)
 
     def _to_mru(self, page: object) -> None:
         """Move a pooled page to the MRU end of the LRU chain."""
@@ -221,17 +235,20 @@ class BufferManager:
             self._index_pool()
 
     def _oldest_clean(self) -> Optional[object]:
-        """The oldest clean page in LRU order, or None if all are dirty.
+        """The oldest clean page in LRU order that is not being read in,
+        or None if there is none.
 
         Pops the page's own heap entry; the caller steals the page."""
         if self._stamps is None:
             self._index_pool()
         stamps, heap, dirty = self._stamps, self._clean_heap, self._dirty
+        reading = self._reading
         while heap:
             stamp, page = heap[0]
             current = stamps.get(page)
-            if current is None or page in dirty:
-                # stolen, or dirty: its next clean transition re-files it
+            if current is None or page in dirty or page in reading:
+                # stolen, dirty or pinned: its next clean transition (or
+                # the end of its read) re-files it
                 heapq.heappop(heap)
             elif current != stamp:
                 # touched since filed: re-file it at its current age
@@ -268,11 +285,7 @@ class BufferManager:
         if status == "hit":
             self.cf_refreshes += 1
             return "cf"
-        tr = self.trace
-        if tr is None:
-            yield from self.farm.read_page(page)
-        else:
-            yield from tr.traced("io", self.farm.read_page(page))
+        yield from traced(self.trace, "io", self.farm.read_page(page))
         self.dasd_reads += 1
         return "dasd"
 

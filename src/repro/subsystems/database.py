@@ -19,8 +19,9 @@ from typing import Dict, Generator, Iterable, List, Tuple
 from ..cf.lock import LockMode
 from ..config import DatabaseConfig
 from ..hardware.cpu import SystemDown
-from ..simkernel import Event, Simulator
-from .buffermgr import PAGE_BYTES, BufferManager
+from ..simkernel import Simulator
+from ..trace import traced
+from .buffermgr import BufferManager
 from .lockmgr import DeadlockAbort, LockManager
 from .logmgr import LogManager
 
@@ -70,162 +71,30 @@ class DatabaseManager:
         calls = len(reads) + len(writes)
         half_cpu = 0.5 * calls * self.config.db_call_cpu
         tr = self.trace
-
-        if tr is None:
-            # Untraced mainline, flattened: the two CPU lumps, the log
-            # force, and the page externalization run in THIS generator
-            # frame instead of through cpu.consume / commit / log.force /
-            # commit_writes delegation (four frames entered and resumed on
-            # every event of the hottest path in the simulator).  Event
-            # schedule, float arithmetic, and statistics are identical to
-            # the composed form — the traced branch below and
-            # :meth:`commit` keep the composed original.
-            sim = self.sim
-            cpu = self.node.cpu
-            buffers = self.buffers
-            locks = self.locks
-            log = self.log
-            engines = cpu.engines
-            if half_cpu > 0:  # cpu.consume(half_cpu), flattened
-                req = None
-                if not (cpu.collapse and engines.claim()):
-                    req = engines.request()
-                try:
-                    if req is not None:
-                        yield req
-                    if cpu.offline:
-                        raise SystemDown(cpu.name)
-                    burn = half_cpu * cpu._inflation / cpu._speed
-                    cpu.busy_seconds += burn
-                    yield sim.timeout(burn)
-                finally:
-                    if req is None:
-                        engines.unclaim()
-                    else:
-                        req.cancel()
-            for page in reads:
-                if page in write_set:
-                    continue  # will be locked EXCL below
-                self._check_alive()
-                yield from locks.lock(owner, page, LockMode.SHR)
-                # clean local hit: vector-bit test only, no generator
-                if buffers.try_get_local(page) is None:
-                    yield from buffers.get_page(page)
-            for page in writes:
-                self._check_alive()
-                yield from locks.lock(owner, page, LockMode.EXCL)
-                if buffers.try_get_local(page) is None:
-                    yield from buffers.get_page(page)
-                buffers.mark_dirty(page)
-                log.log_update(owner, page)
-            self._check_alive()
-            if half_cpu > 0:  # cpu.consume(half_cpu), flattened
-                req = None
-                if not (cpu.collapse and engines.claim()):
-                    req = engines.request()
-                try:
-                    if req is not None:
-                        yield req
-                    if cpu.offline:
-                        raise SystemDown(cpu.name)
-                    burn = half_cpu * cpu._inflation / cpu._speed
-                    cpu.busy_seconds += burn
-                    yield sim.timeout(burn)
-                finally:
-                    if req is None:
-                        engines.unclaim()
-                    else:
-                        req.cancel()
-            # -- commit(owner, writes), flattened ---------------------------
-            self._check_alive()
-            # log.force(): force CPU, then join the group commit
-            force_cpu = self.config.log_force_cpu
-            if force_cpu > 0:
-                req = None
-                if not (cpu.collapse and engines.claim()):
-                    req = engines.request()
-                try:
-                    if req is not None:
-                        yield req
-                    if cpu.offline:
-                        raise SystemDown(cpu.name)
-                    burn = force_cpu * cpu._inflation / cpu._speed
-                    cpu.busy_seconds += burn
-                    yield sim.timeout(burn)
-                finally:
-                    if req is None:
-                        engines.unclaim()
-                    else:
-                        req.cancel()
-            ev = Event(sim)
-            log._pending.append(ev)
-            if not log._flushing:
-                log._flushing = True
-                sim.process(log._flush_loop(), name="log-flush")
-            yield ev
-            # buffers.commit_writes(writes): externalize changed pages
-            dirty = buffers._dirty
-            xes = buffers.xes
-            if xes is not None and getattr(xes, "pair", None) is not None:
-                # duplexed structure: the write must run the duplexed-write
-                # protocol (mirror to the secondary), so take the
-                # connection-level path instead of the flattened port call
-                for page in writes:
-                    if page not in dirty:
-                        continue
-                    yield from xes.sync(
-                        lambda p=page: xes.structure.write_and_invalidate(
-                            xes.connector, p),
-                        mirror=lambda s, c, p=page: s.write_and_invalidate(
-                            c, p),
-                        out_bytes=PAGE_BYTES,
-                        data=True,
-                        signal_wait=True,
-                    )
-                    buffers.pages_written += 1
-                    buffers.mark_clean(page)
-            elif xes is not None:
-                cache = xes.structure
-                conn = xes.connector
-                sync = xes.port.sync
-                for page in writes:
-                    if page not in dirty:
-                        continue
-                    yield from sync(
-                        lambda p=page: cache.write_and_invalidate(conn, p),
-                        out_bytes=PAGE_BYTES,
-                        data=True,
-                        signal_wait=True,
-                    )
-                    buffers.pages_written += 1
-                    buffers.mark_clean(page)
-            log.log_end(owner)
-            yield from locks.unlock_all(owner)
-            self.commits += 1
-            return
-
-        # traced variant: identical control flow with each lifecycle stage
-        # wrapped in a span (lock / coherency / cpu / commit)
-        yield from tr.traced("cpu", self.node.cpu.consume(half_cpu))
+        cpu = self.node.cpu
+        locks = self.locks
+        buffers = self.buffers
+        yield from traced(tr, "cpu", cpu.consume(half_cpu))
         for page in reads:
             if page in write_set:
                 continue  # will be locked EXCL below
             self._check_alive()
-            yield from tr.traced(
-                "lock", self.locks.lock(owner, page, LockMode.SHR)
-            )
-            yield from tr.traced("coherency", self.buffers.get_page(page))
+            yield from traced(tr, "lock",
+                              locks.lock(owner, page, LockMode.SHR))
+            # clean local hit: vector-bit test only, no generator
+            if buffers.try_get_local(page) is None:
+                yield from traced(tr, "coherency", buffers.get_page(page))
         for page in writes:
             self._check_alive()
-            yield from tr.traced(
-                "lock", self.locks.lock(owner, page, LockMode.EXCL)
-            )
-            yield from tr.traced("coherency", self.buffers.get_page(page))
-            self.buffers.mark_dirty(page)
+            yield from traced(tr, "lock",
+                              locks.lock(owner, page, LockMode.EXCL))
+            if buffers.try_get_local(page) is None:
+                yield from traced(tr, "coherency", buffers.get_page(page))
+            buffers.mark_dirty(page)
             self.log.log_update(owner, page)
         self._check_alive()
-        yield from tr.traced("cpu", self.node.cpu.consume(half_cpu))
-        yield from tr.traced("commit", self.commit(owner, writes))
+        yield from traced(tr, "cpu", cpu.consume(half_cpu))
+        yield from traced(tr, "commit", self.commit(owner, writes))
 
     def _check_alive(self) -> None:
         """A task that survived its instance's death (frozen across an

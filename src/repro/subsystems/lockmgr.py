@@ -30,6 +30,7 @@ from ..cf.lock import LockMode, LockStructure
 from ..config import XcfConfig
 from ..mvs.xes import XesConnection
 from ..simkernel import Event, Simulator
+from ..trace import traced
 
 __all__ = ["LockSpace", "LockManager", "DeadlockAbort", "RetainedLockReject"]
 
@@ -332,14 +333,8 @@ class LockManager:
         """The negotiation path: the CF returned the holders' identities."""
         structure, conn = self.structure, self.xes.connector
         self.negotiations += 1
-        tr = self.trace
-        if tr is None:
-            yield from self.xes.node.cpu.consume(NEGOTIATION_CPU)
-            yield self.sim.timeout(self.xcf_config.message_latency)
-        else:
-            yield from tr.traced(
-                "lock.negotiate", self._negotiate_cost()
-            )
+        yield from traced(self.trace, "lock.negotiate",
+                          self._negotiate_cost())
         self._charge_holders(resource)
 
         if self.space.conflicts_with_retained(resource, mode):
@@ -355,7 +350,7 @@ class LockManager:
         yield from self._wait(owner, resource, mode)
 
     def _negotiate_cost(self) -> Generator:
-        """Requester-side negotiation cost (split out for span tracing)."""
+        """Requester-side negotiation cost: CPU, then the XCF message."""
         yield from self.xes.node.cpu.consume(NEGOTIATION_CPU)
         yield self.sim.timeout(self.xcf_config.message_latency)
 

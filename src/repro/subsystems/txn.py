@@ -33,6 +33,7 @@ from ..hardware.links import LinkDownError
 from ..mvs.wlm import WorkloadManager
 from ..mvs.xes import XesConnection
 from ..simkernel import MetricSet, Resource, Simulator
+from ..trace import traced
 from .database import DatabaseManager
 from .lockmgr import DeadlockAbort, RetainedLockReject
 
@@ -109,7 +110,6 @@ class TransactionManager:
                           txn.txn_id, self.node.name)
                 tr.bind(txn.txn_id, self.node.name)
             app_half = 0.5 * self.config.app_cpu
-            sim = self.sim
             cpu = self.node.cpu
             try:
                 for attempt in range(MAX_RETRIES):
@@ -119,60 +119,11 @@ class TransactionManager:
                         if not (self.node.alive and self.db.alive):
                             self._fail(txn)
                             return
-                        if tr is None:
-                            # cpu.consume(app_half) flattened into this
-                            # frame (see DatabaseManager.execute): same
-                            # events, same floats, no delegation
-                            if app_half > 0:
-                                engines = cpu.engines
-                                creq = None
-                                if not (cpu.collapse and engines.claim()):
-                                    creq = engines.request()
-                                try:
-                                    if creq is not None:
-                                        yield creq
-                                    if cpu.offline:
-                                        raise SystemDown(cpu.name)
-                                    burn = (app_half * cpu._inflation
-                                            / cpu._speed)
-                                    cpu.busy_seconds += burn
-                                    yield sim.timeout(burn)
-                                finally:
-                                    if creq is None:
-                                        engines.unclaim()
-                                    else:
-                                        creq.cancel()
-                        else:
-                            yield from tr.traced(
-                                "cpu", self.node.cpu.consume(app_half)
-                            )
+                        yield from traced(tr, "cpu", cpu.consume(app_half))
                         yield from self.db.execute(
                             txn.txn_id, txn.reads, txn.writes
                         )
-                        if tr is None:
-                            if app_half > 0:
-                                engines = cpu.engines
-                                creq = None
-                                if not (cpu.collapse and engines.claim()):
-                                    creq = engines.request()
-                                try:
-                                    if creq is not None:
-                                        yield creq
-                                    if cpu.offline:
-                                        raise SystemDown(cpu.name)
-                                    burn = (app_half * cpu._inflation
-                                            / cpu._speed)
-                                    cpu.busy_seconds += burn
-                                    yield sim.timeout(burn)
-                                finally:
-                                    if creq is None:
-                                        engines.unclaim()
-                                    else:
-                                        creq.cancel()
-                        else:
-                            yield from tr.traced(
-                                "cpu", self.node.cpu.consume(app_half)
-                            )
+                        yield from traced(tr, "cpu", cpu.consume(app_half))
                         break
                     except DeadlockAbort:
                         self.deadlock_retries += 1

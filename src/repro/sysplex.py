@@ -79,8 +79,9 @@ class Sysplex:
         self.config = config
         # collapse=True (the ``sweep`` profile) turns on event merging on
         # the CF command path and the uncontended CPU/DASD dispatch
-        # (statistically neutral, NOT byte-identical at saturation)
-        self._collapse_events = collapse and not tracing
+        # (statistically neutral, NOT byte-identical at saturation); the
+        # tracer only observes, so it runs the same merged events
+        self._collapse_events = collapse
         self.sim = Simulator()
         # collapse also elides terminal events of processes nobody waits
         # on (fire-and-forget transactions, shipments, castout I/O)

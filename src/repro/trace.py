@@ -19,10 +19,12 @@ Design:
   (:meth:`Tracer.bind`), so instrumentation deep in the stack (lock
   manager, buffer manager, CF command path) tags its spans with the
   transaction automatically.
-* **Zero cost when disabled**: components hold ``trace=None`` by default
-  and guard every instrumentation point with a single ``is not None``
-  check; no tracer object, no span allocation, no kernel watcher exists
-  unless tracing was requested (``Sysplex(config, tracing=True)``).
+* **One path, traced or not**: components hold ``trace=None`` by default
+  and pass each instrumented process step through :func:`traced`, which
+  hands the step back unchanged when there is no tracer.  A traced run
+  executes the same steps, in the same profile, as an untraced one; no
+  tracer object, no span allocation, no kernel watcher exists unless
+  tracing was requested (``Sysplex(config, tracing=True)``).
 
 Span categories come in two layers:
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-__all__ = ["Span", "Tracer", "STAGES"]
+__all__ = ["Span", "Tracer", "STAGES", "traced"]
 
 #: Top-level lifecycle categories; ``repro.trace_analysis`` attributes
 #: every traced microsecond of a transaction to exactly one of these.
@@ -164,12 +166,10 @@ class Tracer:
     def traced(self, category: str, gen: Generator) -> Generator:
         """Run a process-step generator inside a span of ``category``.
 
-        Usage at an instrumentation point (``tr`` may be ``None``)::
+        Instrumentation points call the module-level :func:`traced`,
+        which also accepts ``tr=None``::
 
-            if tr is None:
-                yield from self.locks.lock(owner, page, mode)
-            else:
-                yield from tr.traced("lock", self.locks.lock(owner, page, mode))
+            yield from traced(tr, "lock", self.locks.lock(owner, page, mode))
         """
         idx = self.begin(category)
         try:
@@ -205,3 +205,13 @@ class Tracer:
 
     def open_spans(self) -> List[Span]:
         return [s for s in self.spans if s.end is None]
+
+
+def traced(tr: Optional[Tracer], category: str,
+           gen: Generator) -> Generator:
+    """``gen`` itself when ``tr`` is ``None``, else ``gen`` wrapped in a
+    ``category`` span: one call at every instrumentation point, and the
+    same process step runs traced or not."""
+    if tr is None:
+        return gen
+    return tr.traced(category, gen)

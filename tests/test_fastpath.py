@@ -8,9 +8,10 @@ draw order, not a single statistic.  The *collapsed* execution
 identity with ``verify`` for speed and must stay statistically neutral.
 These tests pin both contracts — the full 22-point golden grid against
 the pre-refactor payload hashes under ``verify``, and the same grid plus
-a subchannel-contended point against recorded ``sweep`` hashes — gate
-the events-per-transaction cost metric, and check the robustness/chaos
-configurations stay off the collapsed frame entirely.
+a subchannel-contended point against recorded ``sweep`` hashes and
+exact kernel event counts — gate the events-per-transaction cost metric,
+check the robustness/chaos configurations stay off the collapsed frame
+entirely, and check a traced run stays on it.
 """
 
 import hashlib
@@ -200,15 +201,19 @@ def test_sweep_default_statistically_neutral_vs_golden():
 
 def test_sweep_profile_reproduces_golden_sweep():
     """The default sweep profile is byte-pinned too: the grid subset (all
-    22 points with ``REPRO_FULL_GRID=1``) replays its recorded payloads."""
+    22 points with ``REPRO_FULL_GRID=1``) replays its recorded payloads
+    and kernel event counts.  The traced tab1 points pin the same count
+    as their untraced twins: tracing adds no event."""
     fixture = json.loads(GOLDEN_SWEEP.read_text())
     golden = {p["label"]: p for p in fixture["points"]}
     specs = _grid_specs()
     labels = (list(specs) if os.environ.get("REPRO_FULL_GRID")
               else list(_SUBSET))
     for label in labels:
-        sha, _payload = _payload_sha(specs[label].replace(profile="sweep"))
+        result = specs[label].replace(profile="sweep").run()
+        sha, _payload = _result_sha(result)
         assert sha == golden[label]["payload_sha256"], label
+        assert result.sim_events == golden[label]["sim_events"], label
 
 
 def test_sweep_subchannel_fallback_reproduces_golden():
@@ -223,6 +228,7 @@ def test_sweep_subchannel_fallback_reproduces_golden():
                         label=point["label"])
     sha, _payload = _result_sha(result)
     assert sha == point["payload_sha256"]
+    assert result.sim_events == point["sim_events"]
     ports = list(_ports(plex))
     syncs = sum(p.sync_ops for p in ports)
     assert syncs == point["sync_ops"]
@@ -245,14 +251,18 @@ def test_request_timeout_disables_fast_path():
     assert result.completed > 0
 
 
-def test_tracing_disables_fast_path():
-    """Span tracing lives on the general path only: a traced sweep run
-    keeps the collapse gate off on every port."""
+def test_tracing_keeps_the_collapsed_frame():
+    """The tracer only observes: a traced sweep run keeps the collapse
+    gate on every port and completes sync commands in the collapsed
+    frame, which records the ``cf.sync``/``cf.service`` spans itself."""
     cfg = scaled_config(2, 1, seed=1)
-    plex, _gen = build_loaded_sysplex(
-        cfg, options=RunOptions(profile="sweep", tracing=True))
+    plex, _ = _run(cfg, duration=0.1, warmup=0.05,
+                   options=RunOptions(profile="sweep", tracing=True))
     ports = list(_ports(plex))
-    assert ports and all(not p._collapse for p in ports)
+    assert ports and all(p._collapse for p in ports)
+    assert sum(p.fast_syncs for p in ports) > 0
+    seen = {s.category for s in plex.tracer.spans}
+    assert {"cf.sync", "cf.service"} <= seen
 
 
 def test_verify_profile_keeps_the_collapse_gate_off():

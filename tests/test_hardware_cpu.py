@@ -96,21 +96,6 @@ def test_speed_scales_service_time():
     assert done[0] == pytest.approx(0.5)
 
 
-def test_spin_holds_engine_for_wall_time():
-    """Spin duration is NOT MP-inflated (it is already wall time)."""
-    sim = Simulator()
-    cpu = CpuComplex(sim, CpuConfig(n_cpus=4))
-    done = []
-
-    def work():
-        yield from cpu.spin(10e-6)
-        done.append(sim.now)
-
-    sim.process(work())
-    sim.run()
-    assert done[0] == pytest.approx(10e-6)
-
-
 def test_utilization_accounting():
     sim = Simulator()
     cpu = CpuComplex(sim, CpuConfig(n_cpus=2))

@@ -203,3 +203,31 @@ def test_index_is_built_only_on_a_dirty_head():
         assert [bm._pool[p] for p in (2, 4, 5, 6)] == [1, 2, 0, 6]
 
     mp.sim.run(until=mp.sim.process(work()))
+
+
+def test_a_page_being_read_in_is_never_stolen():
+    """A miss pins its page until the read ends: a concurrent miss that
+    meets a dirty LRU head grows the pool rather than steal it, and once
+    the read ends the page is back in the clean-page index as the
+    oldest clean victim."""
+    mp = MiniPlex(n_systems=1)
+    mp.config.db.buffer_pages = 3
+    bm = BufferManager(mp.sim, mp.nodes[0], mp.config.db, mp.farm, xes=None)
+    sim = mp.sim
+
+    def warm():
+        for page in (1, 2, 3):
+            yield from bm.get_page(page)
+        bm.mark_dirty(1)
+        bm.mark_dirty(2)
+
+    sim.run(until=sim.process(warm()))
+    first = sim.process(bm.get_page(4))  # steals the clean head, page 3
+    second = sim.process(bm.get_page(5))  # dirty head, 4 is being read
+    sim.run(until=sim.all_of([first, second]))
+    assert list(bm._pool) == [1, 2, 4, 5]
+    assert bm._pool[5] == 3 + 3  # extension slot: the pool grew by one
+    assert not bm._reading
+    sim.run(until=sim.process(bm.get_page(6)))
+    assert list(bm._pool) == [1, 2, 5, 6]  # 4 was the oldest clean page
+

@@ -178,6 +178,23 @@ def test_dirty_pages_listing_and_deferred_flush(miniplex):
     mp.run(work())
 
 
+@pytest.mark.parametrize("buffer_pages", [100, 300, 600])
+def test_small_nonsharing_pool_runs_to_the_end(buffer_pages):
+    """With every older page dirty, the page a transaction is reading in
+    is the pool's only clean page.  Another miss must not steal it before
+    the reader dirties it (this used to end the run with ``KeyError:
+    page ... not in pool — read before write``)."""
+    from dataclasses import replace
+
+    from repro.experiments.common import scaled_config
+    from repro.runner import run_oltp
+
+    base = scaled_config(1, 1, data_sharing=False, seed=1)
+    config = replace(base, db=replace(base.db, buffer_pages=buffer_pages))
+    result = run_oltp(config, duration=2.0, warmup=0.3)
+    assert result.completed > 0
+
+
 def test_castout_engine_drains_changed_blocks(miniplex):
     mp = miniplex
     b0 = mp.buffermgrs[0]

@@ -6,7 +6,8 @@ import pytest
 
 from repro import RunOptions
 from repro.config import CpuConfig, DatabaseConfig, SysplexConfig
-from repro.runner import run_oltp
+from repro.experiments.common import QUICK, scaled_config
+from repro.runner import build_loaded_sysplex, run_oltp
 from repro.simkernel import Simulator
 from repro.sysplex import Sysplex
 from repro.trace import STAGES, Tracer
@@ -164,12 +165,49 @@ def test_attribution_sums_to_mean_response_time():
 
 
 def test_tracing_does_not_change_simulation_results():
-    cfg = small_cfg(seed=23)
-    off = run_oltp(cfg, duration=0.4, warmup=0.2)
-    on = run_oltp(small_cfg(seed=23), duration=0.4, warmup=0.2, options=RunOptions(tracing=True))
-    assert on.completed == off.completed
-    assert on.response_mean == pytest.approx(off.response_mean, abs=1e-12)
-    assert on.throughput == pytest.approx(off.throughput, abs=1e-9)
+    """The tracer only observes: under either profile a traced run
+    processes the same kernel events and yields the same payload, less
+    its ``trace.*`` extras, as the untraced run."""
+    cfg = scaled_config(4, 1, seed=1)
+    for profile in ("verify", "sweep"):
+        off = run_oltp(cfg, options=RunOptions(profile=profile), **QUICK)
+        on = run_oltp(cfg, options=RunOptions(profile=profile, tracing=True),
+                      **QUICK)
+        traced = on.to_dict()
+        extras = traced["extras"]
+        assert any(k.startswith("trace.") for k in extras), profile
+        traced["extras"] = {k: v for k, v in extras.items()
+                            if not k.startswith("trace.")}
+        assert traced == off.to_dict(), profile
+        assert on.sim_events == off.sim_events, profile
+
+
+def test_traced_cf_failure_closes_every_span():
+    """A CF failure kills commands in flight, in the collapsed frame as
+    on the general path; every span they opened is closed once the
+    offered work has drained."""
+    cfg = SysplexConfig(
+        n_systems=3, n_cfs=2, cpu=CpuConfig(n_cpus=1),
+        db=DatabaseConfig(n_pages=12_000, buffer_pages=4_000), seed=5,
+    )
+    plex, gen = build_loaded_sysplex(
+        cfg, options=RunOptions(tracing=True, terminals_per_system=0))
+
+    def arrivals():
+        for i in range(300):
+            plex.router.route(gen.make_transaction(i % cfg.n_systems))
+            yield plex.sim.timeout(2e-3)
+
+    plex.sim.process(arrivals())
+    plex.injector.fail_cf(plex.cfs[0], at=0.3)
+    plex.sim.run(until=2.0)
+
+    assert plex.metrics.counter("cf.failures").count == 1
+    ports = [xes.port for inst in plex.instances.values()
+             for xes in (inst.xes_lock, inst.xes_cache)]
+    assert sum(p.fast_syncs for p in ports) > 0
+    assert sum(inst.tm.failed_txns for inst in plex.instances.values()) > 0
+    assert plex.tracer.open_spans() == []
 
 
 def test_attribution_empty_window():

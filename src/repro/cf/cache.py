@@ -22,16 +22,37 @@ Implements paper §3.3.2 faithfully at the protocol level:
 Data blocks are modeled as monotonically increasing version numbers; the
 coherency invariant (a valid bit implies the locally seen version equals
 the directory's latest) is enforced by the structure and property-tested.
+
+The directory is held **inverted**, with no per-block object:
+
+* ``_dir`` (``OrderedDict[name, None]``) keeps the names in LRU order,
+  the order reclaim and data eviction scan;
+* ``_version`` (non-zero versions), ``_data`` (names with a data
+  element) and ``_changed`` (changed names, in ``_dir`` order) hold only
+  non-default values;
+* each connection owns ``_regs[cid]`` (name → vector bit) and
+  ``_seen[cid]`` (name → the non-zero version it last read or wrote; a
+  registered name missing there was seen at version 0).
+
+A system's bulk prewarm is then a few C-level passes over its batch, and
+the cycle collector has no per-block object to walk.  One write's
+cross-invalidate signals go out in connection order; they all leave at
+one instant to distinct vectors, so their order is not observable.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import filterfalse, islice, repeat
+from operator import setitem
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .structure import Connector, Structure
 
 __all__ = ["CacheStructure", "LocalVector", "CacheFullError"]
+
+#: consume an iterator for its side effects (the itertools recipe)
+_exhaust = deque(maxlen=0).extend
 
 
 class CacheFullError(Exception):
@@ -67,20 +88,6 @@ class LocalVector:
         self._bits[index] = False
 
 
-class _DirEntry:
-    """Directory state for one named data block."""
-
-    __slots__ = ("registrants", "version", "has_data", "changed", "seen")
-
-    def __init__(self):
-        self.registrants: Dict[int, int] = {}  # conn_id -> vector index
-        self.version = 0
-        self.has_data = False
-        self.changed = False
-        # last version each conn_id actually read (for invariant checking)
-        self.seen: Dict[int, int] = {}
-
-
 class CacheStructure(Structure):
     model = "cache"
 
@@ -90,15 +97,18 @@ class CacheStructure(Structure):
         super().__init__(name)
         self.data_elements = data_elements
         self.directory_entries = directory_entries
-        self._dir: "OrderedDict[object, _DirEntry]" = OrderedDict()
-        #: changed entries in ``_dir`` order — a castout scan reads this
+        self._dir: "OrderedDict[object, None]" = OrderedDict()
+        self._version: Dict[object, int] = {}
+        self._data: set = set()
+        #: changed names in ``_dir`` order — a castout scan reads this
         #: instead of walking the whole directory.  The mirror stays in
-        #: ``_dir`` order by construction: an entry only *becomes* changed
+        #: ``_dir`` order by construction: a name only *becomes* changed
         #: at the directory's LRU tail (every write ends with
         #: ``move_to_end``), every later touch moves both tails together,
         #: and castout completion removes position-independently.
         self._changed: "OrderedDict[object, None]" = OrderedDict()
-        self._data_count = 0
+        self._regs: Dict[int, Dict[object, int]] = {}
+        self._seen: Dict[int, Dict[object, int]] = {}
         self.vectors: Dict[int, LocalVector] = {}
         # statistics
         self.reads = 0
@@ -111,8 +121,13 @@ class CacheStructure(Structure):
     # -- connection ----------------------------------------------------------
     def connect(self, system_name: str, on_loss=None, conn_id=None) -> Connector:
         conn = super().connect(system_name, on_loss, conn_id=conn_id)
+        cid = conn.conn_id
         # MVS allocates the local bit vector at connect time (paper §3.3.2)
-        self.vectors[conn.conn_id] = LocalVector()
+        self.vectors[cid] = LocalVector()
+        # a re-duplexed secondary connects after clone_state_from: keep the
+        # registrations it cloned
+        self._regs.setdefault(cid, {})
+        self._seen.setdefault(cid, {})
         return conn
 
     def vector_of(self, conn: Connector) -> LocalVector:
@@ -130,17 +145,20 @@ class CacheStructure(Structure):
         """
         self._check()
         self.reads += 1
-        entry = self._entry(name)
-        entry.registrants[conn.conn_id] = bit_index
-        entry.seen[conn.conn_id] = entry.version
-        self.vectors[conn.conn_id].set_valid(bit_index)
-        self._dir.move_to_end(name)
-        if entry.changed:
-            self._changed.move_to_end(name)
-        if entry.has_data:
+        if not self._create(name):
+            self._dir.move_to_end(name)
+            if name in self._changed:
+                self._changed.move_to_end(name)
+        cid = conn.conn_id
+        self._regs[cid][name] = bit_index
+        version = self._version.get(name, 0)
+        if version:
+            self._seen[cid][name] = version
+        self.vectors[cid].set_valid(bit_index)
+        if name in self._data:
             self.read_hits += 1
-            return ("hit", entry.version)
-        return ("miss", entry.version)
+            return ("hit", version)
+        return ("miss", version)
 
     def write_and_invalidate(self, conn: Connector, name: object,
                              store: bool = True, changed: bool = True) -> int:
@@ -151,59 +169,43 @@ class CacheStructure(Structure):
         """
         self._check()
         self.writes += 1
-        entry = self._entry(name)
+        self._create(name)
         # commands are atomic: secure storage BEFORE mutating anything, so
         # a CacheFullError rejects the command without side effects
-        if store and not entry.has_data:
+        if store and name not in self._data:
             self._make_room()
-        entry.version += 1
-        if store:
-            if not entry.has_data:
-                entry.has_data = True
-                self._data_count += 1
-            entry.changed = entry.changed or changed
-        entry.seen[conn.conn_id] = entry.version
-        self._dir.move_to_end(name)
-        if entry.changed:
-            self._changed[name] = None
-            self._changed.move_to_end(name)
-
-        # XI fan-out, flattened: every signal of one write leaves at the
-        # same instant, so the facility's clock read, latency sum, and
-        # method lookups are hoisted out of the loop.  Each signal still
-        # schedules its own delivery event with the same target time the
-        # per-signal ``facility.signal`` calls produced — byte-identical,
-        # just without re-deriving the constants per registrant.
-        n = 0
+            self._data.add(name)
+        version = self._version[name] = self._version.get(name, 0) + 1
         my = conn.conn_id
-        vectors = self.vectors
-        seen = entry.seen
-        fac = self.facility
+        self._seen.setdefault(my, {})[name] = version  # even if purged
+        self._dir.move_to_end(name)
+        ch = self._changed
+        if (store and changed) or name in ch:
+            ch[name] = None
+            ch.move_to_end(name)
+
+        # XI fan-out: every signal of one write leaves at the same instant,
+        # so the clock read, latency sum and lookups are hoisted
+        n = 0
+        vectors, seen, fac = self.vectors, self._seen, self.facility
         if fac is not None:
-            sim = fac.sim
-            deliver_at = sim.now + fac.config.signal_latency
-            call_at = sim.call_at
-            for cid, bit in list(entry.registrants.items()):
-                if cid == my:
-                    continue  # the writer's own copy is the current one
-                vector = vectors.get(cid)
-                del entry.registrants[cid]
-                seen.pop(cid, None)
-                if vector is not None:
-                    fac.signals_sent += 1
-                    call_at(deliver_at,
-                            lambda v=vector, b=bit: v.invalidate(b))
-                    n += 1
-        else:
-            for cid, bit in list(entry.registrants.items()):
-                if cid == my:
-                    continue
-                vector = vectors.get(cid)
-                del entry.registrants[cid]
-                seen.pop(cid, None)
-                if vector is not None:
-                    vector.invalidate(bit)
-                    n += 1
+            deliver_at = fac.sim.now + fac.config.signal_latency
+            call_at = fac.sim.call_at
+        for cid, regs in self._regs.items():
+            if cid == my or name not in regs:
+                continue  # the writer's own copy is the current one
+            bit = regs.pop(name)
+            seen[cid].pop(name, None)
+            vector = vectors.get(cid)
+            if vector is None:
+                continue
+            n += 1
+            if fac is None:
+                vector.invalidate(bit)
+            else:
+                call_at(deliver_at, lambda v=vector, b=bit: v.invalidate(b))
+        if fac is not None:
+            fac.signals_sent += n
         self.xi_signals += n
         return n
 
@@ -212,158 +214,150 @@ class CacheStructure(Structure):
         """Bulk :meth:`register_and_read` for benchmark prewarm.
 
         Registers ``names[i]`` at vector bit ``bits[i]`` for each ``i``
-        (the two sequences have the same length).  Produces the exact
-        final state and statistics of calling :meth:`register_and_read`
-        once per pair (the returned hit/miss tuples are what prewarm
-        discards anyway), with what does not vary per pair hoisted out of
-        the loop: the vector grows once, ``reads`` is added once, and a
-        newly created entry (already at the LRU tail, unchanged, no data)
-        skips the LRU moves and the hit count.  Runs pre-simulation, so
-        it must stay a plain state transform: no events, no clock reads.
+        (the two sequences have the same length), leaving the exact final
+        state and statistics of calling :meth:`register_and_read` once per
+        pair (the hit/miss tuples are what prewarm discards anyway), in a
+        few C-level passes over the batch.  A batch that would overflow
+        the directory runs the command once per pair instead, so reclaim
+        picks the same victims.  Runs pre-simulation, so it must stay a
+        plain state transform: no events, no clock reads.
         """
         self._check()
         if not names:
             return
         d = self._dir
-        move_to_end = d.move_to_end
-        changed_move = self._changed.move_to_end
-        directory_entries = self.directory_entries
+        if (len(d) + len(names) > self.directory_entries
+                and len(d) + len(set(names).difference(d))
+                > self.directory_entries):
+            _exhaust(map(self.register_and_read, repeat(conn), names, bits))
+            return
         cid = conn.conn_id
+        before = len(d)
+        # insert only the missing names: updating with every name pays for
+        # the ones already present
+        d.update(zip(filterfalse(d.__contains__, names), repeat(None)))
+        if len(d) - before < len(names):
+            # some names were there already (or repeat): move the batch to
+            # the LRU tail in order, and carry over versions and hits.  An
+            # all-new batch is in order at the tail with none of these.
+            _exhaust(map(d.move_to_end, names))
+            ch = self._changed
+            _exhaust(map(ch.move_to_end, filter(ch.__contains__, names)))
+            version = self._version
+            written = list(filter(version.__contains__, names))
+            self._seen[cid].update(zip(written,
+                                       map(version.__getitem__, written)))
+            self.read_hits += sum(map(self._data.__contains__, names))
+        self._regs[cid].update(zip(names, bits))
         vector = self.vectors[cid]
         vector._grow(max(bits))
-        vbits = vector._bits
-        hits = 0
-        for name, bit in zip(names, bits):
-            entry = d.get(name)
-            if entry is None:
-                if len(d) >= directory_entries:
-                    self._reclaim_directory()
-                entry = d[name] = _DirEntry()
-            else:
-                move_to_end(name)
-                if entry.changed:
-                    changed_move(name)
-                if entry.has_data:
-                    hits += 1
-            entry.registrants[cid] = bit
-            entry.seen[cid] = entry.version
-            vbits[bit] = True
+        _exhaust(map(setitem, repeat(vector._bits), bits, repeat(True)))
         self.reads += len(names)
-        self.read_hits += hits
 
     def unregister(self, conn: Connector, name: object) -> None:
         """Drop interest (buffer stolen locally for reuse)."""
         self._check()
-        entry = self._dir.get(name)
-        if entry is None:
-            return
-        entry.registrants.pop(conn.conn_id, None)
-        entry.seen.pop(conn.conn_id, None)
+        cid = conn.conn_id
+        self._regs.get(cid, {}).pop(name, None)
+        self._seen.get(cid, {}).pop(name, None)
 
     # -- castout ---------------------------------------------------------------
     def changed_blocks(self, limit: int = 64) -> List[object]:
         """Names of changed blocks awaiting castout (oldest first)."""
-        out = []
-        for name in self._changed:
-            out.append(name)
-            if len(out) >= limit:
-                break
-        return out
+        return list(islice(self._changed, limit))
 
     def castout(self, name: object) -> Optional[int]:
         """Read a changed block for castout; returns its version or None."""
         self._check()
-        entry = self._dir.get(name)
-        if entry is None or not entry.changed:
-            return None
-        return entry.version
+        return self._version[name] if name in self._changed else None
 
     def castout_complete(self, name: object, version: int) -> None:
         """DASD write done: clear changed if no newer write intervened."""
         self._check()
-        entry = self._dir.get(name)
-        if entry is not None and entry.version == version:
-            entry.changed = False
+        if name in self._dir and self._version.get(name, 0) == version:
             self._changed.pop(name, None)
             self.castouts += 1
 
     # -- storage management ---------------------------------------------------------
-    def _entry(self, name: object) -> _DirEntry:
-        entry = self._dir.get(name)
-        if entry is None:
-            if len(self._dir) >= self.directory_entries:
-                self._reclaim_directory()
-            entry = self._dir[name] = _DirEntry()
-        return entry
+    def _create(self, name: object) -> bool:
+        """Add ``name`` at the LRU tail, reclaiming an entry if the
+        directory is full; False if it was already there."""
+        d = self._dir
+        if name in d:
+            return False
+        if len(d) >= self.directory_entries:
+            self._reclaim_directory()
+        d[name] = None
+        return True
 
     def _make_room(self) -> None:
-        if self._data_count < self.data_elements:
+        if len(self._data) < self.data_elements:
             return
         # evict least-recently-used *unchanged* data element
-        for name, entry in self._dir.items():
-            if entry.has_data and not entry.changed:
-                entry.has_data = False
-                self._data_count -= 1
-                return
+        for name in filterfalse(self._changed.__contains__,
+                                filter(self._data.__contains__, self._dir)):
+            self._data.remove(name)
+            return
         raise CacheFullError(self.name)
 
     def _reclaim_directory(self) -> None:
         """Steal the LRU dataless directory entry, invalidating registrants."""
-        for name, entry in self._dir.items():
-            if entry.has_data:
-                continue
-            for cid, bit in entry.registrants.items():
+        for name in filterfalse(self._data.__contains__, self._dir):
+            for cid, regs in self._regs.items():
+                bit = regs.pop(name, None)
                 vector = self.vectors.get(cid)
-                if vector is not None:
+                if bit is not None and vector is not None:
                     if self.facility is not None:
                         self.facility.signal(
                             lambda v=vector, b=bit: v.invalidate(b))
                     else:
                         vector.invalidate(bit)
                     self.xi_signals += 1
+            for seen in self._seen.values():
+                seen.pop(name, None)
             del self._dir[name]
+            self._version.pop(name, None)
             self.reclaims += 1
             return
         raise CacheFullError(f"{self.name}: directory full of changed data")
 
     # -- cleanup / introspection -------------------------------------------------------
     def _purge_connector(self, conn: Connector) -> None:
-        for entry in self._dir.values():
-            entry.registrants.pop(conn.conn_id, None)
-            entry.seen.pop(conn.conn_id, None)
+        self._regs.pop(conn.conn_id, None)
+        self._seen.pop(conn.conn_id, None)
         self.vectors.pop(conn.conn_id, None)
 
     def version_of(self, name: object) -> int:
-        entry = self._dir.get(name)
-        return entry.version if entry else 0
+        return self._version.get(name, 0)
 
     def has_data(self, name: object) -> bool:
         """Whether a read of ``name`` would hit CF storage (cost model:
         the response only carries a data block when one is cached)."""
-        entry = self._dir.get(name)
-        return bool(entry and entry.has_data)
+        return name in self._data
 
     def is_registered(self, conn: Connector, name: object) -> bool:
-        entry = self._dir.get(name)
-        return bool(entry and conn.conn_id in entry.registrants)
+        return name in self._regs.get(conn.conn_id, ())
 
     def check_coherency(self) -> None:
         """Invariant: a valid local bit implies the holder saw the latest
         version.  Raises AssertionError on violation (used by tests)."""
-        for name, entry in self._dir.items():
-            for cid, bit in entry.registrants.items():
-                vector = self.vectors.get(cid)
-                if vector is None or bit >= len(vector._bits):
-                    continue
-                if vector._bits[bit] and entry.seen.get(cid) is not None:
-                    assert entry.seen[cid] == entry.version, (
+        for cid, regs in self._regs.items():
+            vector = self.vectors.get(cid)
+            if vector is None:
+                continue
+            bits = vector._bits
+            seen = self._seen.get(cid, {})
+            for name, bit in regs.items():
+                if bit < len(bits) and bits[bit]:
+                    latest = self._version.get(name, 0)
+                    assert seen.get(name, 0) == latest, (
                         f"{name}: conn {cid} valid at stale version "
-                        f"{entry.seen[cid]} != {entry.version}"
+                        f"{seen.get(name, 0)} != {latest}"
                     )
 
     @property
     def data_in_use(self) -> int:
-        return self._data_count
+        return len(self._data)
 
     # -- duplexing -------------------------------------------------------------
     def clone_state_from(self, other: "CacheStructure") -> None:
@@ -373,16 +367,12 @@ class CacheStructure(Structure):
         instance's ``vectors`` at the connectors' shared per-system
         vectors, which already reflect the directory being copied.
         """
-        self._dir = OrderedDict()
-        for name, entry in other._dir.items():
-            mine = self._dir[name] = _DirEntry()
-            mine.registrants = dict(entry.registrants)
-            mine.version = entry.version
-            mine.has_data = entry.has_data
-            mine.changed = entry.changed
-            mine.seen = dict(entry.seen)
-        self._changed = OrderedDict((name, None) for name in other._changed)
-        self._data_count = other._data_count
+        self._dir = OrderedDict(other._dir)
+        self._version = dict(other._version)
+        self._data = set(other._data)
+        self._changed = OrderedDict(other._changed)
+        self._regs = {cid: dict(r) for cid, r in other._regs.items()}
+        self._seen = {cid: dict(s) for cid, s in other._seen.items()}
 
     def state_units(self) -> int:
         """Size metric for the re-duplex state copy cost."""
@@ -393,16 +383,26 @@ class CacheStructure(Structure):
 
         Covers exactly what the duplexed-write protocol mirrors: the
         directory (registrants, versions, data presence, changed bits,
-        seen versions) in LRU order.  Local bit vectors are *excluded* —
-        a duplexed pair shares the connectors' real vectors, so they are
-        not per-instance state.
+        seen versions) in LRU order, one ``(name, registrants, version,
+        has_data, changed, seen)`` row per block.  Local bit vectors are
+        *excluded* — a duplexed pair shares the connectors' real vectors,
+        so they are not per-instance state.
         """
+        regs: Dict[object, dict] = {name: {} for name in self._dir}
+        seen: Dict[object, dict] = {name: {} for name in self._dir}
+        for cid, held in self._regs.items():
+            for name, bit in held.items():
+                regs[name][cid] = bit
+                seen[name][cid] = 0
+        for cid, versions in self._seen.items():
+            for name, version in versions.items():
+                seen[name][cid] = version
         return (
             "cache",
             [
-                (str(name), dict(e.registrants), e.version, e.has_data,
-                 e.changed, dict(e.seen))
-                for name, e in self._dir.items()
+                (str(name), regs[name], self._version.get(name, 0),
+                 name in self._data, name in self._changed, seen[name])
+                for name in self._dir
             ],
             [str(n) for n in self._changed],
         )

@@ -22,10 +22,13 @@ that touches it should fail the sweep, not spin forever).  A *runner*
 exception inside a healthy worker is not retried: specs are
 deterministic, so the error would simply repeat.  A worker that leaves
 **cleanly** (SIGTERM teardown: it finishes its running task, sends
-``bye`` naming its unstarted pipelined tasks) has those tasks requeued
-without any resubmission penalty — fleet teardown is routine, not
-churn.  Workers stay connected (polling for requeued work) until every
-task has a result, so late resubmissions always have somewhere to go.
+``bye`` naming its unstarted pipelined tasks) has every task still in
+flight to it requeued without any resubmission penalty — fleet teardown
+is routine, not churn.  That holds when a send to the departing worker
+fails before its buffered ``bye`` is read: the dispatcher drains the
+worker's frames up to EOF before it calls the connection crashed.
+Workers stay connected (polling for requeued work) until every task
+has a result, so late resubmissions always have somewhere to go.
 
 Each connection runs two daemon threads: a reader pumping decoded
 frames into an inbox queue, and a dispatcher multiplexing that inbox
@@ -66,6 +69,10 @@ DEFAULT_ADDRESS = "127.0.0.1:0"
 DEFAULT_DEPTH = 4
 
 _HASH_RE = re.compile(r"[0-9a-f]{8,128}")
+
+#: Seconds to wait for a worker's remaining frames after a send to it
+#: failed; its reader sees EOF as soon as the socket is gone.
+SETTLE_TIMEOUT = 5.0
 
 
 class WorkerTaskError(RuntimeError):
@@ -300,6 +307,15 @@ class SweepServer:
     def _dispatch(self, worker: str, wfile, inbox: "queue.Queue",
                   in_flight: Dict[int, Tuple[int, dict]]) -> None:
         """Multiplex one worker's inbox against the shared task queue."""
+        try:
+            self._pump(worker, wfile, inbox, in_flight)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            # a send failed: the worker may have said bye and hung up
+            # before reading it, so settle what it sent first
+            self._settle(worker, inbox, in_flight, exc)
+
+    def _pump(self, worker: str, wfile, inbox: "queue.Queue",
+              in_flight: Dict[int, Tuple[int, dict]]) -> None:
         while not self._closing.is_set():
             # refill the pipeline up to depth; multi-task refills go out
             # as one batched frame
@@ -343,25 +359,51 @@ class SweepServer:
                 return
             if kind == "err":
                 raise msg
-            op = msg.get("op") if isinstance(msg, dict) else None
-            if op == "result":
-                self._finish(worker, msg, in_flight)
-            elif op == "results":
-                for sub in msg.get("results", ()):
-                    self._finish(worker, sub, in_flight)
-            elif op == "error":
-                self._finish(worker, msg, in_flight)
-            elif op == "cache_get":
+            if self._handle(worker, msg, in_flight, wfile):
+                return
+
+    def _handle(self, worker: str, msg,
+                in_flight: Dict[int, Tuple[int, dict]], wfile) -> bool:
+        """Act on one worker frame; True when it was the worker's bye.
+        ``wfile`` is None once the connection can no longer be written."""
+        op = msg.get("op") if isinstance(msg, dict) else None
+        if op in ("result", "error"):
+            self._finish(worker, msg, in_flight)
+        elif op == "results":
+            for sub in msg.get("results", ()):
+                self._finish(worker, sub, in_flight)
+        elif op == "cache_get":
+            if wfile is not None:
                 send_message(wfile, {
                     "op": "cache_value",
                     "id": msg.get("id"),
                     "payload": self._cache_lookup(msg.get("hash")),
                 })
-            elif op == "bye":
-                self._depart(worker, msg, in_flight)
+        elif op == "bye":
+            self._depart(worker, in_flight)
+            return True
+        else:
+            raise ProtocolError(f"unknown op {op!r} from worker")
+        return False
+
+    def _settle(self, worker: str, inbox: "queue.Queue",
+                in_flight: Dict[int, Tuple[int, dict]],
+                exc: OSError) -> None:
+        """Drain a worker's inbox after a failed send, up to its EOF.
+
+        Results it sent before hanging up still count.  A ``bye`` among
+        them makes this a clean departure; EOF without one re-raises
+        ``exc``, the crash path.
+        """
+        while True:
+            try:
+                kind, msg = inbox.get(timeout=SETTLE_TIMEOUT)
+            except queue.Empty:
+                raise exc
+            if kind != "msg":
+                raise exc
+            if self._handle(worker, msg, in_flight, None):
                 return
-            else:
-                raise ProtocolError(f"unknown op {op!r} from worker")
 
     def _finish(self, worker: str, msg: dict,
                 in_flight: Dict[int, Tuple[int, dict]]) -> None:
@@ -386,22 +428,22 @@ class SweepServer:
                 float(msg.get("seconds", 0.0)),
             ))
 
-    def _depart(self, worker: str, msg: dict,
+    def _depart(self, worker: str,
                 in_flight: Dict[int, Tuple[int, dict]]) -> None:
-        """A clean worker departure: requeue abandoned tasks penalty-free."""
-        abandoned = msg.get("abandoned") or ()
-        requeued = 0
-        for index in abandoned:
-            task = in_flight.pop(index, None)
-            if task is None:
-                continue
+        """A clean worker departure: requeue its tasks penalty-free.
+
+        The ``bye`` lists the tasks the worker held unstarted; anything
+        else still in flight was sent after it and never reached it.
+        Either way no attempt ran, so none counts against the task's
+        resubmission budget.
+        """
+        requeued = len(in_flight)
+        for index, task in in_flight.items():
             with self._lock:
-                # the dispatch attempt never ran: it does not count
-                # against the task's resubmission budget
                 self._attempts[index] = max(
                     0, self._attempts.get(index, 1) - 1)
             self._todo.put(task)
-            requeued += 1
+        in_flight.clear()
         with self._lock:
             self._clean_departures += 1
         log.info("worker %s departed cleanly (%d task(s) handed back)",

@@ -146,8 +146,14 @@ def run_task(spec_dict: dict, cache_root: Optional[str] = None
     # A finished simulation is cyclic garbage (processes, generators,
     # events), and run_oltp pauses the cycle collector over the next
     # point's run.  Free it now, while little else is live, so that it
-    # is not still resident while the next point runs.
-    gc.collect()
+    # is not still resident while the next point runs.  Finalizing the
+    # run's suspended generators defers what their frames reach to a
+    # later pass, so collect until a pass finds nothing.  What survives
+    # is the interpreter's long-lived heap: freezing it means the next
+    # point's collections walk only that point's objects.
+    while gc.collect():
+        pass
+    gc.freeze()
     payload = json.loads(canonical_json(_payload_from(result)))
     return payload, False
 

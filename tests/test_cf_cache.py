@@ -206,15 +206,15 @@ def _built_cache(directory_entries):
 
 
 def _cache_state(cache):
+    """Everything a register_and_read leaves behind, read through the
+    public state: the directory rows in LRU order and the changed list
+    (``duplex_state``), the vectors and the statistics."""
     return {
-        "dir": [(name, list(e.registrants.items()), list(e.seen.items()),
-                 e.version, e.has_data, e.changed)
-                for name, e in cache._dir.items()],
-        "changed": list(cache._changed),
+        "dir": cache.duplex_state(),
         "vectors": {cid: (v._bits, v.invalidations)
                     for cid, v in cache.vectors.items()},
         "stats": (cache.reads, cache.read_hits, cache.reclaims,
-                  cache.xi_signals),
+                  cache.xi_signals, cache.data_in_use),
     }
 
 

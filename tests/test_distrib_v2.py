@@ -8,6 +8,7 @@ the launcher layer.
 
 import io
 import os
+import queue
 import signal
 import socket
 import subprocess
@@ -270,6 +271,103 @@ def test_sigterm_mid_run_is_a_clean_departure(tmp_path):
     assert sorted(d.index for d in got) == list(range(8))
     assert all(d.error is None for d in got)
     assert procs[0].wait(timeout=10) == 0, "clean departure exits 0"
+
+
+class _HungUp:
+    """A worker stream whose reader is gone: every write is EPIPE."""
+
+    def write(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def _dispatched(server, n):
+    """Take ``n`` tasks off ``server``'s queue as a dispatch would."""
+    in_flight = {}
+    for _ in range(n):
+        task = server._todo.get_nowait()
+        server._attempts[task[0]] = 1
+        in_flight[task[0]] = task
+    return in_flight
+
+
+def _inbox(*frames):
+    inbox = queue.Queue()
+    for item in frames:
+        inbox.put(item)
+    return inbox
+
+
+def test_bye_behind_a_failed_send_settles_cleanly():
+    """The refill that follows a result fails (the worker has hung up),
+    but the worker's bye is already buffered: its result counts, and
+    both the task it handed back and the one the failed send carried are
+    requeued with no resubmission charged."""
+    server, _addr = _server(5, depth=2)
+    try:
+        in_flight = _dispatched(server, 2)
+        inbox = _inbox(
+            ("msg", {"op": "result", "id": 0, "payload": {"n": 0}}),
+            ("msg", {"op": "bye", "worker": "w", "abandoned": [1]}),
+            ("eof", None))
+        server._dispatch("w", _HungUp(), inbox, in_flight)
+        assert server._clean_departures == 1
+        assert in_flight == {}
+        assert server._attempts == {0: 1, 1: 0, 2: 0}
+        assert server._todo.qsize() == 4
+        assert server._out.get_nowait().index == 0
+    finally:
+        server.close()
+
+
+def test_failed_send_without_bye_is_a_crash():
+    server, _addr = _server(5, depth=2)
+    try:
+        in_flight = _dispatched(server, 2)
+        inbox = _inbox(
+            ("msg", {"op": "result", "id": 0, "payload": {"n": 0}}),
+            ("eof", None))
+        with pytest.raises(BrokenPipeError):
+            server._dispatch("w", _HungUp(), inbox, in_flight)
+        assert server._clean_departures == 0
+        assert sorted(in_flight) == [1, 2], "left for the crash requeue"
+        assert server._out.get_nowait().index == 0
+    finally:
+        server.close()
+
+
+def test_fake_worker_bye_then_hang_up_is_a_clean_departure(tmp_path):
+    """A worker sends a result and its bye, then closes the socket.
+
+    Whether the dispatcher reads the bye before or after its refill send
+    hits the closed socket, the departure is clean and no task's
+    resubmission budget is charged."""
+    server, addr = _server(6, depth=2)
+    try:
+        sock, rfile, wfile, welcome = _handshake(
+            addr, {"op": "hello", "worker": "fake", "proto": 2})
+        assert welcome["op"] == "welcome"
+        first, *rest = [t["id"] for t in recv_message(rfile)["tasks"]]
+        sock.sendall(
+            frame({"op": "result", "id": first, "payload": {"n": first}})
+            + frame({"op": "bye", "worker": "fake", "abandoned": rest}))
+        sock.shutdown(socket.SHUT_RDWR)
+        for f in (rfile, wfile, sock):
+            f.close()
+        deadline = time.monotonic() + 10
+        while (server._clean_departures == 0
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+        assert server._clean_departures == 1
+        with server._lock:
+            charged = {i: n for i, n in server._attempts.items()
+                       if n and i != first}
+        assert charged == {}
+        assert server._todo.qsize() == 5
+    finally:
+        server.close()
 
 
 # -------------------------------------------------------------- dedup ----

@@ -25,14 +25,15 @@ or, declaratively (cache- and sweep-friendly)::
     spec = RunSpec(config=cfg, duration=1.0)
     result = run(spec)              # one spec, in-process
     results = run([spec, ...])      # many specs: routed through execute()
-    results = execute([spec, ...], jobs=4, cache=".runcache")
+    results = execute([spec, ...], cache=".runcache")
+    results = execute([spec, ...], backend=WorkQueueBackend(workers=4))
 
-Sweeps execute behind a pluggable :class:`ExecutorBackend` — the default
-:class:`LocalPoolBackend` (in-process or a local process pool) or a
+A sweep runs in-process (``backend=None``, the default) or through a
 :class:`WorkQueueBackend` (a work-queue server feeding worker clients
-over a socket) — with :func:`execute_iter` streaming completions as they
-land and :class:`Progress` rendering per-point progress/ETA lines.
-Every path returns byte-identical results for equal specs.
+over a socket, spawned locally or across a fleet), with
+:func:`execute_iter` streaming completions as they land and
+:class:`Progress` rendering per-point progress/ETA lines.  Both paths
+return byte-identical results for equal specs.
 """
 
 from typing import Optional, Sequence, Union
@@ -52,8 +53,6 @@ from .config import (
     quick_sysplex,
 )
 from .executor import (
-    ExecutorBackend,
-    LocalPoolBackend,
     Progress,
     ResultCache,
     WorkQueueBackend,
@@ -92,9 +91,8 @@ def run(spec_or_config: Union[RunSpec, SysplexConfig],
       into the spec with :meth:`RunSpec.replace` first, so the result is
       identical to running the adjusted spec through the executor;
     * a sequence of :class:`RunSpec` — the whole sweep is routed through
-      :func:`execute` (``jobs=``, ``cache=``, ``backend=``,
-      ``progress=`` pass straight through) and the results come back in
-      spec order.
+      :func:`execute` (``cache=``, ``backend=``, ``progress=`` pass
+      straight through) and the results come back in spec order.
 
     Returns whatever the runner returns — a :class:`RunResult` for OLTP
     runs, a JSON-serializable payload for scenario runners — or the list
@@ -134,12 +132,10 @@ __all__ = [
     "CpuConfig",
     "DasdConfig",
     "DatabaseConfig",
-    "ExecutorBackend",
     "FaultClassConfig",
     "Instance",
     "InvariantChecker",
     "LinkConfig",
-    "LocalPoolBackend",
     "OltpConfig",
     "Progress",
     "ResultCache",

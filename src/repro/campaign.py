@@ -22,9 +22,9 @@ every content hash in it — is reproducible from the command line alone.
 Run one::
 
     python -m repro.campaign --grid fuzz --points 1000 \\
-        --backend workqueue --workers 4 --depth 8
+        --workers 4 --depth 8
     python -m repro.campaign --grid capacity --points 500 \\
-        --backend workqueue --workers big-host:8,bigger-host:16
+        --workers big-host:8,bigger-host:16
     python -m repro.campaign --dir campaigns/fuzz-1000-s0 --status
 """
 
@@ -39,9 +39,9 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .distrib.launcher import worker_backend
 from .executor import (
     DEFAULT_CACHE_DIR,
-    ExecutorBackend,
     Progress,
     WorkQueueBackend,
     execute_iter,
@@ -240,8 +240,7 @@ def triage(failures: Sequence[dict]) -> List[dict]:
 
 
 def run_campaign(specs: Sequence[RunSpec], root: Path, *,
-                 backend: Optional[ExecutorBackend] = None,
-                 jobs: int = 1,
+                 backend: Optional[WorkQueueBackend] = None,
                  cache: Optional[str] = DEFAULT_CACHE_DIR,
                  retry_failed: bool = True,
                  fresh: bool = False,
@@ -252,7 +251,8 @@ def run_campaign(specs: Sequence[RunSpec], root: Path, *,
     Points whose content hash the manifest already marks ``done`` are
     skipped outright (``failed`` points too, with ``retry_failed=
     False``); everything else streams through :func:`execute_iter` with
-    ``errors="yield"`` and is checkpointed the moment it lands.  The
+    ``errors="yield"`` and is checkpointed the moment it lands — in
+    this process with ``backend=None``, else on the backend's workers.  The
     returned summary — also written to ``root/summary.json`` — carries
     totals, wall-clock, throughput and a failure triage table.
     """
@@ -289,10 +289,10 @@ def run_campaign(specs: Sequence[RunSpec], root: Path, *,
     done = failed = computed = cached_hits = 0
     run_specs = [specs[i] for i, _ in todo]
     run_hashes = [h for _, h in todo]
-    par = backend.parallelism() if backend is not None else max(1, jobs)
+    par = backend.parallelism() if backend is not None else 1
     prog = (Progress(len(run_specs), parallelism=par, stream=stream)
             if progress and stream is not None and run_specs else None)
-    for c in execute_iter(run_specs, jobs=jobs, backend=backend,
+    for c in execute_iter(run_specs, backend=backend,
                           cache=cache, progress=prog, errors="yield"):
         h = run_hashes[c.index]
         if c.error is None:
@@ -353,24 +353,6 @@ def _report(summary: dict, stream=sys.stderr) -> None:
               file=stream)
 
 
-def _build_backend(args) -> Tuple[Optional[ExecutorBackend], int]:
-    if args.backend == "local":
-        return None, args.jobs
-    from .distrib.launcher import CommandLauncher, parse_worker_spec
-
-    spec = parse_worker_spec(args.workers)
-    if args.worker_cmd:
-        count = spec if isinstance(spec, int) else spec.count
-        spawn = CommandLauncher(args.worker_cmd, count=count)
-        workers = count
-    elif isinstance(spec, int):
-        spawn, workers = True, spec
-    else:
-        spawn, workers = spec, spec.count
-    return WorkQueueBackend(
-        workers=workers, spawn=spawn, depth=args.depth), args.jobs
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
@@ -388,18 +370,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cache", default=DEFAULT_CACHE_DIR, metavar="DIR",
                         help=f"result cache (default: {DEFAULT_CACHE_DIR}; "
                         "'none' disables)")
-    parser.add_argument("--backend", default="local",
-                        choices=("local", "workqueue"),
-                        help="executor backend (default: local)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="local pool width for --backend local "
-                        "(0 = one per CPU)")
-    parser.add_argument("--workers", default="2", metavar="SPEC",
-                        help="workqueue workers: a count ('4') or ssh "
-                        "hosts ('host1:4,host2:8')")
+    parser.add_argument("--workers", default=None, metavar="SPEC",
+                        help="run the points on work-queue workers: a "
+                        "count ('4', 0 = one per CPU) or ssh hosts "
+                        "('host1:4,host2:8'); default: in-process")
     parser.add_argument("--worker-cmd", default=None, metavar="TEMPLATE",
-                        help="launch each worker via this sh -c template "
-                        "({address}/{name}/{python} substituted)")
+                        help="launch each --workers slot via this sh -c "
+                        "template ({address}/{name}/{python} substituted)")
     parser.add_argument("--depth", type=int, default=4,
                         help="tasks kept in flight per worker (default: 4)")
     parser.add_argument("--fresh", action="store_true",
@@ -411,6 +388,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--status", action="store_true",
                         help="print manifest state and exit")
     args = parser.parse_args(argv)
+    try:
+        backend = worker_backend(args.workers, args.worker_cmd, args.depth)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     root = Path(args.dir or
                 f"campaigns/{args.grid}-{args.points}-s{args.seed}")
@@ -430,10 +411,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     specs = build_grid(args.grid, args.points, args.seed)
-    backend, jobs = _build_backend(args)
     cache = None if args.cache == "none" else args.cache
     summary = run_campaign(
-        specs, root, backend=backend, jobs=jobs, cache=cache,
+        specs, root, backend=backend, cache=cache,
         retry_failed=not args.no_retry_failed, fresh=args.fresh,
         progress=not args.no_progress,
     )

@@ -38,7 +38,7 @@ from .launcher import (
     LocalLauncher,
     SshLauncher,
     WorkerLauncher,
-    parse_worker_spec,
+    worker_backend,
 )
 from .protocol import (
     PROTO_VERSION,
@@ -59,5 +59,5 @@ __all__ = [
     "WorkerTaskError",
     "format_address",
     "parse_address",
-    "parse_worker_spec",
+    "worker_backend",
 ]

@@ -35,14 +35,17 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+
+if TYPE_CHECKING:
+    from ..executor import WorkQueueBackend
 
 __all__ = [
     "CommandLauncher",
     "LocalLauncher",
     "SshLauncher",
     "WorkerLauncher",
-    "parse_worker_spec",
+    "worker_backend",
     "worker_env",
 ]
 
@@ -343,17 +346,34 @@ class SshLauncher(CommandLauncher):
         return out
 
 
-def parse_worker_spec(spec: str,
-                      pythonpath: Sequence[Union[str, Path]] = ()
-                      ) -> Union[int, WorkerLauncher]:
-    """Turn a CLI ``--workers`` value into a count or a launcher.
+def worker_backend(workers: Optional[str],
+                   worker_cmd: Optional[str] = None,
+                   depth: int = 4) -> Optional[WorkQueueBackend]:
+    """Turn the CLIs' ``--workers SPEC`` into a sweep backend.
 
-    ``"4"`` means four local workers (returned as the int, so the
-    caller keeps today's LocalLauncher path); anything with host names
-    — ``"big:8"``, ``"a:4,b:8"``, ``"gpu-box"`` — builds an
-    :class:`SshLauncher` over those hosts.
+    * ``None`` (flag omitted) — in-process: returns None;
+    * ``"N"`` — N local work-queue workers, ``"0"`` one per CPU;
+    * ``"host:n,..."`` (or a bare ``"host"``) — an :class:`SshLauncher`
+      fleet over those hosts.
+
+    ``worker_cmd`` launches each of those worker slots through a
+    :class:`CommandLauncher` shell template instead; it needs
+    ``workers``.  ``depth`` is the tasks kept in flight per worker.
+    Raises ValueError on a malformed spec.
     """
-    spec = spec.strip()
+    from ..executor import WorkQueueBackend
+
+    if workers is None:
+        if worker_cmd is not None:
+            raise ValueError("--worker-cmd needs --workers")
+        return None
+    spec = workers.strip()
+    spawn: Union[bool, WorkerLauncher] = True
     if spec.isdigit():
-        return int(spec)
-    return SshLauncher(spec)
+        count = int(spec) or (os.cpu_count() or 1)
+    else:
+        spawn = SshLauncher(spec)
+        count = spawn.count
+    if worker_cmd is not None:
+        spawn = CommandLauncher(worker_cmd, count=count)
+    return WorkQueueBackend(workers=count, spawn=spawn, depth=depth)

@@ -40,6 +40,7 @@ Cache modes (``--cache-mode``):
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import signal
 import sys
@@ -95,6 +96,22 @@ def _resolve_cache(cache_mode: str, cache_root: Optional[str],
     if offers_proto:
         return "proto", None
     return "off", None
+
+
+def _run_and_freeze(spec_dict: dict, cache_root: Optional[str]
+                    ) -> Tuple[dict, bool]:
+    """:func:`~repro.executor.run_task`, then freeze the surviving heap.
+
+    ``run_task`` collects a computed point's garbage before returning;
+    what survives is this process's long-lived heap, and freezing it
+    means the next point's collections walk only that point's objects.
+    A worker owns its heap, so the freeze is safe here; in a caller's
+    process it would pin the caller's own cyclic garbage for good.
+    """
+    payload, cached = run_task(spec_dict, cache_root)
+    if not cached:
+        gc.freeze()
+    return payload, cached
 
 
 def serve(address: str, name: str = "worker",
@@ -168,7 +185,7 @@ def serve(address: str, name: str = "worker",
         def run_one(task: dict) -> Tuple[dict, bool]:
             spec_dict = task["spec"]
             if mode == "fs":
-                return run_task(spec_dict, root)
+                return _run_and_freeze(spec_dict, root)
             if mode == "proto":
                 content_hash = RunSpec.from_dict(spec_dict).content_hash()
                 flush()  # keep frame order: results before the query
@@ -189,7 +206,7 @@ def serve(address: str, name: str = "worker",
                     if not ingest(msg):
                         raise ProtocolError(
                             f"unexpected {op!r} while awaiting cache_value")
-            return run_task(spec_dict, None)
+            return _run_and_freeze(spec_dict, None)
 
         while True:
             if not pending:

@@ -1,4 +1,4 @@
-"""Parallel sweep execution behind pluggable backends.
+"""Sweep execution: in-process, or through the work queue.
 
 Every quantitative target in the paper is produced by sweeping many
 *independent* simulation runs, so the parallelism lives here — at the
@@ -13,45 +13,31 @@ embarrassingly-parallel sweep level — and never inside the
   first, then computed points in completion order), so a thousand-point
   sweep reports progress instead of going dark until the barrier.
 
-Both run uncached specs through an **executor backend**:
+A sweep runs one of two ways.  With ``backend=None`` (the default) each
+uncached spec runs in the calling process, one after another.  Anything
+parallel, local or remote, goes through :class:`WorkQueueBackend`: a
+small work-queue server (:mod:`repro.distrib`) that N worker client
+processes drain over newline-delimited JSON on a TCP or unix socket.
+Workers are spawned locally by default but any ``python -m
+repro.distrib.worker --connect HOST:PORT`` on any host with the repo
+installed can join.
 
-* :class:`LocalPoolBackend` — ``jobs=1`` runs each spec in-process (the
-  pre-backend behavior); ``jobs>1`` fans out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`;
-* :class:`WorkQueueBackend` — a small work-queue server
-  (:mod:`repro.distrib`) that N worker client processes drain over
-  newline-delimited JSON on a TCP or unix socket.  Workers are spawned
-  locally by default but any ``python -m repro.distrib.worker
-  --connect HOST:PORT`` on any host with the repo installed can join.
-
-Backend protocol
-----------------
-
-A backend is anything with::
-
-    def run(self, tasks, cache=None):
-        '''tasks: sequence of (index, RunSpec) pairs (the cache misses).
-
-        Yield one TaskDone(index, payload, cached, seconds) per task, in
-        whatever order the tasks complete.  ``payload`` must be the
-        spec's canonical-JSON payload dict (see run_task); ``cached`` is
-        True when a worker answered from its own read-through cache.
-        '''
-
-Backends receive the submitter's :class:`ResultCache` (or ``None``) so
-they can offer its root to workers for **read-through**: a worker checks
-the content-addressed store before simulating.  Write-back stays with
-the submitter — :func:`execute_iter` puts every payload into its cache
-as it arrives, so a sweep drained by remote workers leaves the local
-``.runcache`` as warm as a local run would have.
+:meth:`WorkQueueBackend.run` takes ``(index, RunSpec)`` pairs (the cache
+misses) and yields one :class:`TaskDone` per task in whatever order the
+tasks complete.  It receives the submitter's :class:`ResultCache` (or
+``None``) so it can offer its root to workers for **read-through**: a
+worker checks the content-addressed store before simulating.  Write-back
+stays with the submitter — :func:`execute_iter` puts every payload into
+its cache as it arrives, so a sweep drained by remote workers leaves the
+local ``.runcache`` as warm as a local run would have.
 
 Determinism contract: for a given spec hash, the returned result is
-bit-identical whether it was computed in-process, in a pool worker, in a
-work-queue worker, or read back from the cache.  To enforce that,
-*every* path round-trips the runner's output through canonical JSON
-before handing it back — a fresh in-process run cannot differ from a
-cache hit by float formatting or dict ordering, and a work-queue worker
-ships exactly the bytes a cache file would contain.
+bit-identical whether it was computed in-process, in a work-queue
+worker, or read back from the cache.  To enforce that, *every* path
+round-trips the runner's output through canonical JSON before handing
+it back — a fresh in-process run cannot differ from a cache hit by float
+formatting or dict ordering, and a work-queue worker ships exactly the
+bytes a cache file would contain.
 """
 
 from __future__ import annotations
@@ -62,7 +48,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from typing import (
     Any,
@@ -84,8 +69,6 @@ from .runspec import SCHEMA_VERSION, RunSpec, canonical_json
 __all__ = [
     "execute",
     "execute_iter",
-    "ExecutorBackend",
-    "LocalPoolBackend",
     "WorkQueueBackend",
     "ResultCache",
     "Progress",
@@ -93,9 +76,6 @@ __all__ = [
 
 #: Where the CLI keeps its cache, relative to the invocation directory.
 DEFAULT_CACHE_DIR = ".runcache"
-
-#: Progress callback: ``fn(index, spec, result, cached, seconds)``.
-OnResult = Callable[[int, RunSpec, Any, bool, float], None]
 
 
 # -- payloads ---------------------------------------------------------------
@@ -130,7 +110,7 @@ def canonical_payload(spec: RunSpec) -> Any:
 
 def run_task(spec_dict: dict, cache_root: Optional[str] = None
              ) -> Tuple[dict, bool]:
-    """Worker side of every backend: ``(payload, cached)`` for one spec.
+    """Run one spec, in-process or in a worker: ``(payload, cached)``.
 
     Takes and returns plain JSON-shaped data so the only things crossing
     a process or socket boundary are bytes — no code objects, no live
@@ -148,12 +128,9 @@ def run_task(spec_dict: dict, cache_root: Optional[str] = None
     # point's run.  Free it now, while little else is live, so that it
     # is not still resident while the next point runs.  Finalizing the
     # run's suspended generators defers what their frames reach to a
-    # later pass, so collect until a pass finds nothing.  What survives
-    # is the interpreter's long-lived heap: freezing it means the next
-    # point's collections walk only that point's objects.
+    # later pass, so collect until a pass finds nothing.
     while gc.collect():
         pass
-    gc.freeze()
     payload = json.loads(canonical_json(_payload_from(result)))
     return payload, False
 
@@ -237,7 +214,8 @@ class Progress:
     Feed it one :meth:`update` per finished spec (cache hits included).
     The per-point cost is an EWMA over *computed* points only, so a warm
     prefix of cache hits does not poison the estimate, and the ETA
-    divides by the backend's parallelism (``jobs`` or worker count).
+    divides by the sweep's parallelism (its work-queue worker count, or
+    1 in-process).
     With a ``stream``, each update prints a one-line report::
 
         [ 7/22  hits 3  1.9s/pt  eta 28s] plex-16
@@ -316,18 +294,18 @@ def _fmt_seconds(s: float) -> str:
     return f"{s:.0f}s"
 
 
-# -- backends ---------------------------------------------------------------
+# -- execution paths --------------------------------------------------------
 
 
 class TaskDone(NamedTuple):
-    """One finished backend task: the payload for ``specs[index]``.
+    """One finished task: the payload for ``specs[index]``.
 
     A *failed* task is a TaskDone too: ``payload`` is None and
     ``error`` holds the formatted failure (``exc`` additionally carries
-    the live exception when the failure happened in this process or a
-    local pool, so the caller can re-raise the original).  Backends
-    never raise for a task failure — whether a failure aborts the sweep
-    is the caller's policy (see ``execute_iter(errors=...)``).
+    the live exception when the failure happened in this process, so
+    the caller can re-raise the original).  Neither path raises for a
+    task failure — whether a failure aborts the sweep is the caller's
+    policy (see ``execute_iter(errors=...)``).
     """
 
     index: int
@@ -338,77 +316,22 @@ class TaskDone(NamedTuple):
     exc: Optional[BaseException] = None
 
 
-class ExecutorBackend:
-    """Interface every execution backend implements (see module docs).
-
-    Subclasses override :meth:`run`; :meth:`parallelism` feeds the
-    ETA estimate and defaults to 1.
-    """
-
-    def run(self, tasks: Sequence[Tuple[int, RunSpec]],
-            cache: Optional[ResultCache] = None) -> Iterator[TaskDone]:
-        raise NotImplementedError
-
-    def parallelism(self) -> int:
-        return 1
-
-
-class LocalPoolBackend(ExecutorBackend):
-    """The default backend: in-process at ``jobs=1``, else a local pool.
-
-    Byte-identical to the pre-backend executor: ``jobs=1`` runs every
-    spec in the calling process (no pool, no pickling), ``jobs>1`` fans
-    out over a :class:`~concurrent.futures.ProcessPoolExecutor` and
-    streams completions back as they land.  Pool workers read through
-    the submitter's cache directory, which only matters when another
-    process is filling the same cache concurrently.
-    """
-
-    def __init__(self, jobs: int = 1):
-        self.jobs = max(1, int(jobs))
-
-    def parallelism(self) -> int:
-        return self.jobs
-
-    def run(self, tasks: Sequence[Tuple[int, RunSpec]],
-            cache: Optional[ResultCache] = None) -> Iterator[TaskDone]:
-        if self.jobs == 1:
-            # the submitter already consulted the cache for every task
-            for index, spec in tasks:
-                t0 = time.perf_counter()
-                try:
-                    payload, cached = run_task(spec.to_dict())
-                except Exception as exc:  # noqa: BLE001 - caller's policy
-                    yield TaskDone(index, None, False,
-                                   time.perf_counter() - t0,
-                                   error=f"{type(exc).__name__}: {exc}",
-                                   exc=exc)
-                    continue
-                yield TaskDone(index, payload, cached,
-                               time.perf_counter() - t0)
-            return
-        root = str(cache.root) if cache is not None else None
-        workers = min(self.jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            t0 = time.perf_counter()
-            futures = {
-                pool.submit(run_task, spec.to_dict(), root): index
-                for index, spec in tasks
-            }
-            for fut in as_completed(futures):
-                try:
-                    payload, cached = fut.result()
-                except Exception as exc:  # noqa: BLE001 - caller's policy
-                    yield TaskDone(futures[fut], None, False,
-                                   time.perf_counter() - t0,
-                                   error=f"{type(exc).__name__}: {exc}",
-                                   exc=exc)
-                    continue
-                yield TaskDone(futures[fut], payload, cached,
-                               time.perf_counter() - t0)
+def _run_in_process(tasks: Sequence[Tuple[int, RunSpec]]
+                    ) -> Iterator[TaskDone]:
+    """Run each task in the calling process, in order."""
+    # the submitter already consulted the cache for every task
+    for index, spec in tasks:
+        t0 = time.perf_counter()
+        try:
+            payload, cached = run_task(spec.to_dict())
+        except Exception as exc:  # noqa: BLE001 - caller's policy
+            yield TaskDone(index, None, False, time.perf_counter() - t0,
+                           error=f"{type(exc).__name__}: {exc}", exc=exc)
+            continue
+        yield TaskDone(index, payload, cached, time.perf_counter() - t0)
 
 
-class WorkQueueBackend(ExecutorBackend):
+class WorkQueueBackend:
     """Drain a sweep through the :mod:`repro.distrib` work-queue server.
 
     The submitter starts a server holding the pending specs; worker
@@ -510,13 +433,6 @@ class WorkQueueBackend(ExecutorBackend):
                 launcher.stop()
 
 
-def _as_backend(backend: Optional[ExecutorBackend],
-                jobs: int) -> ExecutorBackend:
-    if backend is None:
-        return LocalPoolBackend(jobs)
-    return backend
-
-
 # -- entry points -----------------------------------------------------------
 
 
@@ -536,22 +452,21 @@ class Completion(NamedTuple):
 
 
 def execute_iter(specs: Sequence[RunSpec],
-                 jobs: int = 1,
                  cache: Union[None, str, Path, ResultCache] = None,
-                 backend: Optional[ExecutorBackend] = None,
+                 backend: Optional[WorkQueueBackend] = None,
                  progress: Union[None, bool, Progress] = None,
-                 on_result: Optional[OnResult] = None,
                  errors: str = "raise"
                  ) -> Iterator[Completion]:
     """Run ``specs``, yielding a :class:`Completion` per spec as it lands.
 
     Submitter-side cache hits stream first (in spec order, instantly),
-    then the backend's completions in whatever order they finish — so
+    then the computed points in whatever order they finish — so
     consumers see results incrementally instead of waiting for the
-    barrier.  Every computed payload is written back to ``cache`` as it
-    arrives.  ``progress`` may be a :class:`Progress` (it is updated per
-    completion) or ``True`` for a default one printing to stderr;
-    ``on_result`` is the legacy per-spec callback.
+    barrier.  Uncached specs run in this process with ``backend=None``,
+    else through the :class:`WorkQueueBackend`.  Every computed payload
+    is written back to ``cache`` as it arrives.  ``progress`` may be a
+    :class:`Progress` (it is updated per completion), ``True`` for a
+    default one printing to stderr, or ``None``/``False`` for none.
 
     **Deduplication**: specs with equal content hashes are computed
     once — the one result fans out to every index that asked for it, so
@@ -569,17 +484,18 @@ def execute_iter(specs: Sequence[RunSpec],
     if errors not in ("raise", "yield"):
         raise ValueError(f"errors must be 'raise' or 'yield', not {errors!r}")
     cache = _as_cache(cache)
-    backend = _as_backend(backend, jobs)
     if progress is True:
-        progress = Progress(len(specs), parallelism=backend.parallelism(),
-                            stream=sys.stderr)
+        progress = Progress(
+            len(specs),
+            parallelism=backend.parallelism() if backend is not None else 1,
+            stream=sys.stderr)
+    elif progress is False:
+        progress = None
 
     def emit(index: int, spec: RunSpec, result: Any, cached: bool,
              seconds: float, error: Optional[str] = None) -> Completion:
         if progress is not None:
             progress.update(spec, cached, seconds)
-        if on_result is not None:
-            on_result(index, spec, result, cached, seconds)
         return Completion(index, spec, result, cached, seconds, error)
 
     pending: List[Tuple[int, RunSpec]] = []
@@ -604,7 +520,9 @@ def execute_iter(specs: Sequence[RunSpec],
         yield emit(i, specs[i], _result_from(payload), True, 0.0)
     if not pending:
         return
-    for done in backend.run(pending, cache=cache):
+    done_stream = (_run_in_process(pending) if backend is None
+                   else backend.run(pending, cache=cache))
+    for done in done_stream:
         fanout = [done.index, *duplicates.get(done.index, ())]
         if done.error is not None:
             if errors == "raise":
@@ -630,25 +548,22 @@ def execute_iter(specs: Sequence[RunSpec],
 
 
 def execute(specs: Sequence[RunSpec],
-            jobs: int = 1,
             cache: Union[None, str, Path, ResultCache] = None,
-            backend: Optional[ExecutorBackend] = None,
+            backend: Optional[WorkQueueBackend] = None,
             progress: Union[None, bool, Progress] = None,
-            on_result: Optional[OnResult] = None,
             errors: str = "raise") -> List[Any]:
     """Run ``specs`` and return their results, in spec order.
 
     The barrier form of :func:`execute_iter`: results stream internally
-    (progress and ``on_result`` fire as points finish) but the return
-    value is assembled in deterministic spec order regardless of the
-    backend's completion order.  ``jobs`` selects the default
-    :class:`LocalPoolBackend` width when no ``backend`` is given;
-    ``cache`` may be a :class:`ResultCache`, a directory path, or None.
-    With ``errors="yield"``, failed specs come back as None.
+    (progress fires as points finish) but the return value is assembled
+    in deterministic spec order regardless of completion order.
+    ``backend=None`` runs every uncached spec in this process; a
+    :class:`WorkQueueBackend` fans them out over its workers.  ``cache``
+    may be a :class:`ResultCache`, a directory path, or None.  With
+    ``errors="yield"``, failed specs come back as None.
     """
     results: List[Any] = [None] * len(specs)
-    for c in execute_iter(specs, jobs=jobs, cache=cache, backend=backend,
-                          progress=progress, on_result=on_result,
-                          errors=errors):
+    for c in execute_iter(specs, cache=cache, backend=backend,
+                          progress=progress, errors=errors):
         results[c.index] = c.result
     return results

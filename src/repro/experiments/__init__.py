@@ -8,7 +8,7 @@ would want.  The benchmark suite under ``benchmarks/`` drives these
 through pytest-benchmark; they are also runnable directly::
 
     python -m repro.experiments.fig3_scalability
-    python -m repro.experiments --filter fig3 --jobs 4
+    python -m repro.experiments --filter fig3 --workers 4
 """
 
 from . import (

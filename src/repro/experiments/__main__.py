@@ -4,19 +4,18 @@
     python -m repro.experiments --full               # longer runs
     python -m repro.experiments --list               # show experiment names
     python -m repro.experiments --filter fig3        # substring match
-    python -m repro.experiments --jobs 4             # parallel sweeps
+    python -m repro.experiments --workers 4          # 4 local workers
+    python -m repro.experiments --workers a:4,b:8    # an ssh fleet
     python -m repro.experiments --no-cache           # always re-simulate
     python -m repro.experiments --verify             # golden (byte-identical) profile
-    python -m repro.experiments --backend workqueue --workers 4
-                                                     # distributed sweeps
 
-Sweeps inside each experiment fan out over ``--jobs`` worker processes
-(or, with ``--backend workqueue``, over worker *clients* pulling tasks
-from a work-queue server) and memoise results in a content-addressed
-on-disk cache (default ``.runcache/``); a re-run with identical specs
-replays from the cache in seconds.  Results are numerically identical
-for any ``--jobs`` value, any backend, and for cache hits — every path
-round-trips through the same canonical JSON.
+Sweeps inside each experiment run in-process by default; with
+``--workers`` they fan out over work-queue worker *clients* pulling
+tasks from a server the CLI starts.  Results are memoised in a
+content-addressed on-disk cache (default ``.runcache/``); a re-run with
+identical specs replays from the cache in seconds.  Results are
+numerically identical in-process, on any workers, and for cache hits —
+every path round-trips through the same canonical JSON.
 
 The CLI builds one frozen :class:`~repro.experiments.common.Execution`
 from its flags and threads it explicitly through every experiment's
@@ -26,10 +25,10 @@ from its flags and threads it explicitly through every experiment's
 from __future__ import annotations
 
 import argparse
-import os
 import time
 
-from ..executor import DEFAULT_CACHE_DIR, ResultCache, WorkQueueBackend
+from ..distrib.launcher import worker_backend
+from ..executor import DEFAULT_CACHE_DIR, ResultCache
 from . import (
     abl_granularity,
     abl_links,
@@ -95,25 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="only run experiments whose name contains SUBSTR",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per sweep (0 = one per CPU; default 1, "
-        "in-process)",
-    )
-    parser.add_argument(
-        "--backend", choices=("local", "workqueue"), default="local",
-        help="sweep executor backend: 'local' (process pool, the "
-        "default) or 'workqueue' (work-queue server + spawned worker "
-        "clients over a socket)",
-    )
-    parser.add_argument(
-        "--workers", default="2", metavar="SPEC",
-        help="worker clients for --backend workqueue: a count ('4', 0 = "
+        "--workers", default=None, metavar="SPEC",
+        help="run sweeps on work-queue worker clients: a count ('4', 0 = "
         "one per CPU) or ssh host specs ('host1:4,host2:8'; remote "
-        "hosts read the cache over the protocol; default 2)",
+        "hosts read the cache over the protocol; default: in-process)",
     )
     parser.add_argument(
         "--worker-cmd", default=None, metavar="TEMPLATE",
-        help="launch each workqueue worker via this sh -c template "
+        help="launch each --workers slot via this sh -c template "
         "({address}/{name}/{python} substituted) instead of local "
         "subprocesses",
     )
@@ -153,14 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", nargs="?", const=True, default=None, metavar="PATH",
         help="profile the run under cProfile and print the top 25 "
         "functions by cumulative time; with PATH, also dump raw pstats "
-        "there (implies --jobs 1 and --no-cache so the profile sees the "
-        "simulation, not the worker pool or cache)",
+        "there (runs in-process with --no-cache, whatever --workers "
+        "says, so the profile sees the simulation, not workers or "
+        "cache)",
     )
     return parser
 
 
 def main(argv=None) -> None:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     selected = [m for m in ALL if args.filter in _short_name(m)]
     if args.list_only:
@@ -173,31 +163,19 @@ def main(argv=None) -> None:
             f"--filter {args.filter!r} matches no experiment (have: {names})"
         )
 
+    try:
+        backend = worker_backend(args.workers, args.worker_cmd, args.depth)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.profile is not None:
-        # profile the actual simulation: in-process, cache off — a pool
-        # of workers or a cache replay would leave the profile empty
-        args.jobs, args.no_cache, args.backend = 1, True, "local"
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+        # profile the actual simulation: in-process, cache off — workers
+        # or a cache replay would leave the profile empty
+        backend, args.no_cache = None, True
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.expect_no_misses and cache is None:
         raise SystemExit("--expect-no-misses needs the cache "
                          "(drop --no-cache)")
-    backend = None
-    if args.backend == "workqueue":
-        from ..distrib.launcher import CommandLauncher, parse_worker_spec
-
-        spec = parse_worker_spec(args.workers)
-        if isinstance(spec, int):
-            workers = spec if spec > 0 else (os.cpu_count() or 1)
-            spawn = (CommandLauncher(args.worker_cmd, count=workers)
-                     if args.worker_cmd else True)
-        else:
-            workers = spec.count
-            spawn = (CommandLauncher(args.worker_cmd, count=workers)
-                     if args.worker_cmd else spec)
-        backend = WorkQueueBackend(workers=workers, spawn=spawn,
-                                   depth=args.depth)
-    execution = Execution(jobs=jobs, backend=backend, cache=cache,
+    execution = Execution(backend=backend, cache=cache,
                           csv_dir=args.csv_dir, progress=True,
                           profile="verify" if args.verify else None)
 
@@ -233,7 +211,7 @@ def main(argv=None) -> None:
     else:
         run_selected()
     how = (f"workqueue x{backend.parallelism()}" if backend is not None
-           else f"jobs={jobs}")
+           else "in-process")
     line = (
         f"\n{len(selected)}/{len(ALL)} experiments done in "
         f"{time.time() - t0:.0f}s "

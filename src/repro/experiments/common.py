@@ -10,12 +10,13 @@ paper's tables.
 Experiments *declare* their sweep as a list of
 :class:`~repro.runspec.RunSpec` and hand it to :func:`sweep` together
 with an :class:`Execution` — a frozen value object describing *how* to
-run it (backend, pool width, result cache, progress reporting, CSV
-archiving, forced execution profile).  The ``python -m
-repro.experiments`` CLI builds one Execution from its flags and threads
-it explicitly through every experiment's ``main(...)``; called directly
-— as the pytest-benchmark harness does — ``execution=None`` means the
-defaults: in-process runs, no cache, no progress.
+run it (in-process or through a work-queue backend, result cache,
+progress reporting, CSV archiving, forced execution profile).  The
+``python -m repro.experiments`` CLI builds one Execution from its flags
+and threads it explicitly through every experiment's ``main(...)``;
+called directly — as the pytest-benchmark harness does —
+``execution=None`` means the defaults: in-process runs, no cache, no
+progress.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from ..config import (
     SysplexConfig,
 )
 from ..executor import (
-    ExecutorBackend,
     Progress,
     ResultCache,
+    WorkQueueBackend,
     execute,
 )
 from ..runspec import RunSpec
@@ -60,9 +61,8 @@ FULL = {"duration": 1.5, "warmup": 0.8}
 class Execution:
     """How a sweep executes — a frozen config threaded through explicitly.
 
-    * ``jobs`` — width of the default local pool (1 = in-process);
-    * ``backend`` — an :class:`~repro.executor.ExecutorBackend` overriding
-      the local pool (e.g. a :class:`~repro.executor.WorkQueueBackend`);
+    * ``backend`` — a :class:`~repro.executor.WorkQueueBackend` whose
+      workers run the sweep; None runs it in-process;
     * ``cache`` — a :class:`~repro.executor.ResultCache`, a directory
       path, or None;
     * ``csv_dir`` — when set, every :func:`print_rows` table is archived
@@ -77,8 +77,7 @@ class Execution:
     their sweep will run.
     """
 
-    jobs: int = 1
-    backend: Optional[ExecutorBackend] = field(default=None, compare=False)
+    backend: Optional[WorkQueueBackend] = field(default=None, compare=False)
     cache: Union[None, str, Path, ResultCache] = field(default=None,
                                                        compare=False)
     csv_dir: Optional[Path] = None
@@ -86,7 +85,6 @@ class Execution:
     profile: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "jobs", max(1, int(self.jobs)))
         if self.csv_dir is not None:
             object.__setattr__(self, "csv_dir", Path(self.csv_dir))
 
@@ -97,7 +95,7 @@ class Execution:
     def parallelism(self) -> int:
         if self.backend is not None:
             return self.backend.parallelism()
-        return self.jobs
+        return 1
 
 
 #: What ``execution=None`` means: plain in-process runs, nothing else.
@@ -108,7 +106,6 @@ _UNSET = object()
 
 def sweep(specs: Sequence[RunSpec],
           execution: Optional[Execution] = None,
-          jobs: Optional[int] = None,
           cache: Union[None, str, Path, ResultCache, object] = _UNSET
           ) -> List[Any]:
     """Execute a declared sweep under an :class:`Execution`.
@@ -116,12 +113,10 @@ def sweep(specs: Sequence[RunSpec],
     Results come back in spec order; each is a
     :class:`~repro.metrics.RunResult` or the scenario runner's plain-data
     payload.  ``execution=None`` means :data:`DEFAULT_EXECUTION` (plain
-    in-process runs).  Explicit ``jobs``/``cache`` override the
-    Execution's fields (pass ``cache=None`` to force a cache-off run).
+    in-process runs).  An explicit ``cache`` overrides the Execution's
+    (pass ``cache=None`` to force a cache-off run).
     """
     ex = execution if execution is not None else DEFAULT_EXECUTION
-    if jobs is not None:
-        ex = ex.replace(jobs=jobs)
     if cache is not _UNSET:
         ex = ex.replace(cache=cache)
     if ex.profile is not None:
@@ -129,7 +124,7 @@ def sweep(specs: Sequence[RunSpec],
     progress = (Progress(len(specs), parallelism=ex.parallelism(),
                          stream=sys.stderr)
                 if ex.progress else None)
-    return execute(specs, jobs=ex.jobs, cache=ex.cache, backend=ex.backend,
+    return execute(specs, cache=ex.cache, backend=ex.backend,
                    progress=progress)
 
 

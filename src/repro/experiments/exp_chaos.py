@@ -327,6 +327,8 @@ def _cli(argv: Optional[List[str]] = None) -> int:
     import argparse
     import json
 
+    from ..distrib.launcher import worker_backend
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.exp_chaos",
         description="Seeded chaos soak with sysplex invariant checking.",
@@ -341,8 +343,10 @@ def _cli(argv: Optional[List[str]] = None) -> int:
                         choices=("none", "lock", "cache", "list", "all"),
                         help="structure-duplexing policy for every seed "
                              "(default: none)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker processes (0 = one per CPU)")
+    parser.add_argument("--workers", default=None, metavar="SPEC",
+                        help="run the seeds on work-queue workers: a count "
+                        "('4', 0 = one per CPU) or ssh hosts "
+                        "('host1:4,host2:8'); default: in-process")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed result cache directory")
     parser.add_argument("--csv-dir", default=None, metavar="DIR",
@@ -350,11 +354,12 @@ def _cli(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write the violation report as JSON to PATH")
     args = parser.parse_args(argv)
-
-    import os
-
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    execution = Execution(jobs=jobs, progress=True, cache=args.cache_dir,
+    try:
+        backend = worker_backend(args.workers)
+    except ValueError as exc:
+        parser.error(str(exc))
+    execution = Execution(backend=backend, progress=True,
+                          cache=args.cache_dir,
                           csv_dir=args.csv_dir)
     out = run_soak(n_seeds=args.seeds, seed0=args.seed0,
                    horizon=args.horizon, duplex=args.duplex,

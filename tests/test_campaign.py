@@ -95,7 +95,7 @@ def test_triage_groups_by_first_line():
 def test_campaign_runs_and_resumes(tmp_path):
     specs = tiny_specs(5)
     root = tmp_path / "camp"
-    summary = run_campaign(specs, root, jobs=1,
+    summary = run_campaign(specs, root,
                            cache=str(tmp_path / "cache"), stream=None)
     assert summary["complete"] is True
     assert summary["done_this_run"] == 5
@@ -104,7 +104,7 @@ def test_campaign_runs_and_resumes(tmp_path):
     assert json.loads((root / SUMMARY_NAME).read_text())["complete"] is True
 
     # resume: nothing to do, nothing recomputed
-    again = run_campaign(specs, root, jobs=1,
+    again = run_campaign(specs, root,
                          cache=str(tmp_path / "cache"), stream=None)
     assert again["skipped_from_manifest"] == 5
     assert again["ran"] == 0
@@ -120,7 +120,7 @@ def test_campaign_partial_manifest_resumes_without_recompute(tmp_path):
     for spec in specs[:3]:
         m.mark(spec.content_hash(), "done", 0.1, label=spec.label)
 
-    summary = run_campaign(specs, root, jobs=1,
+    summary = run_campaign(specs, root,
                            cache=str(tmp_path / "cache"), stream=None)
     assert summary["skipped_from_manifest"] == 3
     assert summary["ran"] == 3
@@ -134,7 +134,7 @@ def test_campaign_partial_manifest_resumes_without_recompute(tmp_path):
 def test_campaign_failures_yield_triage_and_retry(tmp_path):
     specs = tiny_specs(4, boom={1, 3})
     root = tmp_path / "camp"
-    summary = run_campaign(specs, root, jobs=1,
+    summary = run_campaign(specs, root,
                            cache=str(tmp_path / "cache"), stream=None)
     assert summary["complete"] is False
     assert summary["done_this_run"] == 2
@@ -143,12 +143,12 @@ def test_campaign_failures_yield_triage_and_retry(tmp_path):
     assert "ValueError: boom" in summary["triage"][0]["error"]
 
     # failed points are skipped when retries are off...
-    skip = run_campaign(specs, root, jobs=1, retry_failed=False,
+    skip = run_campaign(specs, root, retry_failed=False,
                         cache=str(tmp_path / "cache"), stream=None)
     assert skip["ran"] == 0
     assert skip["skipped_from_manifest"] == 4
     # ...and retried (failing again, deterministically) by default
-    retry = run_campaign(specs, root, jobs=1,
+    retry = run_campaign(specs, root,
                          cache=str(tmp_path / "cache"), stream=None)
     assert retry["ran"] == 2
     assert retry["failed_this_run"] == 2
@@ -156,7 +156,7 @@ def test_campaign_failures_yield_triage_and_retry(tmp_path):
 
 def test_campaign_dedups_repeated_points(tmp_path):
     spec = tiny_specs(1)[0]
-    summary = run_campaign([spec, spec, spec], tmp_path / "camp", jobs=1,
+    summary = run_campaign([spec, spec, spec], tmp_path / "camp",
                            cache=str(tmp_path / "cache"), stream=None)
     assert summary["points"] == 3
     assert summary["unique_points"] == 1
@@ -167,9 +167,9 @@ def test_campaign_dedups_repeated_points(tmp_path):
 def test_campaign_fresh_discards_manifest(tmp_path):
     specs = tiny_specs(2)
     root = tmp_path / "camp"
-    run_campaign(specs, root, jobs=1, cache=str(tmp_path / "cache"),
+    run_campaign(specs, root, cache=str(tmp_path / "cache"),
                  stream=None)
-    redo = run_campaign(specs, root, jobs=1, fresh=True,
+    redo = run_campaign(specs, root, fresh=True,
                         cache=str(tmp_path / "cache"), stream=None)
     assert redo["skipped_from_manifest"] == 0
     assert redo["ran"] == 2

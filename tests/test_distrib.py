@@ -14,7 +14,6 @@ import pytest
 
 from repro.distrib import SweepServer, WorkerTaskError, format_address, parse_address
 from repro.executor import (
-    LocalPoolBackend,
     ResultCache,
     WorkQueueBackend,
     execute,
@@ -75,26 +74,25 @@ def test_bad_address_is_an_error():
 
 
 # ------------------------------------------------ cross-backend identity ----
-def test_workqueue_matches_local_pool_byte_for_byte(tmp_path):
+def test_workqueue_matches_in_process_byte_for_byte(tmp_path):
     """The determinism contract across every execution path.
 
-    The same two simulation specs run in-process, across a local pool,
-    through the work-queue with 2 worker processes, and replayed from a
-    warm cache — all four must agree to the byte.
+    The same two simulation specs run in-process, through the work-queue
+    with 2 worker processes, and replayed from a warm cache — all three
+    must agree to the byte.
     """
     specs = [small_spec(), small_spec(duration=0.3)]
     cache = ResultCache(tmp_path / "rc")
 
-    serial = execute(specs, jobs=1)
-    pooled = execute(specs, backend=LocalPoolBackend(jobs=2))
+    serial = execute(specs)
     queued = execute(specs, backend=wq(), cache=cache)
     assert cache.misses == 2 and cache.hits == 0
-    replayed = execute(specs, jobs=1, cache=cache)
+    replayed = execute(specs, cache=cache)
     assert cache.hits == 2
 
-    for a, b, c, d in zip(serial, pooled, queued, replayed):
-        assert (canonical_json(a.to_dict()) == canonical_json(b.to_dict())
-                == canonical_json(c.to_dict()) == canonical_json(d.to_dict()))
+    for a, c, d in zip(serial, queued, replayed):
+        assert (canonical_json(a.to_dict()) == canonical_json(c.to_dict())
+                == canonical_json(d.to_dict()))
 
 
 def test_workqueue_over_a_unix_socket(tmp_path):
@@ -116,14 +114,14 @@ def test_streaming_yields_cache_hits_first_then_matches_barrier(tmp_path):
     cache = ResultCache(tmp_path / "rc")
     execute([specs[1], specs[3]], cache=cache)  # warm two of four
 
-    seen = list(execute_iter(specs, jobs=2, cache=cache))
+    seen = list(execute_iter(specs, backend=wq(), cache=cache))
     # hits stream first, in spec order, before any computed point
     assert [c.index for c in seen[:2]] == [1, 3]
     assert all(c.cached for c in seen[:2])
     assert not any(c.cached for c in seen[2:])
     # reassembled, the stream equals the barrier form
     by_index = {c.index: c.result for c in seen}
-    assert [by_index[i] for i in range(4)] == execute(specs, jobs=1)
+    assert [by_index[i] for i in range(4)] == execute(specs)
 
 
 def test_streaming_write_back_fills_the_cache(tmp_path):

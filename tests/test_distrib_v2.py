@@ -24,7 +24,7 @@ from repro.distrib import (
     ProtocolError,
     SshLauncher,
     SweepServer,
-    parse_worker_spec,
+    worker_backend,
 )
 from repro.distrib import launcher
 from repro.distrib.launcher import LocalLauncher, _Supervised, worker_env
@@ -216,7 +216,7 @@ def _payload_bytes(results):
 
 def test_pipeline_depths_are_byte_identical(tmp_path):
     specs = probe_specs(6)
-    baseline = execute(specs, jobs=1, cache=tmp_path / "base")
+    baseline = execute(specs, cache=tmp_path / "base")
 
     variants = {"depth1": wq(depth=1), "depth8": wq(depth=8)}
     for name, backend in variants.items():
@@ -229,7 +229,7 @@ def test_protocol_cache_read_through(tmp_path):
     """Workers with no filesystem view of the cache still get warm hits."""
     specs = probe_specs(5)
     cache = ResultCache(tmp_path / "shared")
-    execute(specs, jobs=1, cache=cache)  # warm it
+    execute(specs, cache=cache)  # warm it
 
     backend = wq(spawn=LocalLauncher(count=2, pythonpath=[ROOT],
                                      cache_mode="proto"))
@@ -376,7 +376,7 @@ def test_duplicate_specs_computed_once(tmp_path):
                    params={"n": 7, "marker_dir": str(tmp_path / "m")})
     other = RunSpec(runner=COUNTING, label="other",
                     params={"n": 9, "marker_dir": str(tmp_path / "m")})
-    results = execute([spec, other, spec, spec], jobs=1,
+    results = execute([spec, other, spec, spec],
                       cache=tmp_path / "cache")
     assert [r["n"] for r in results] == [7, 9, 7, 7]
     markers = list((tmp_path / "m").iterdir())
@@ -393,22 +393,89 @@ def test_duplicate_specs_dedup_on_workqueue_too(tmp_path):
 
 
 # ----------------------------------------------------------- launchers ----
-def test_parse_worker_spec_count_and_hosts():
-    assert parse_worker_spec("4") == 4
-    fleet = parse_worker_spec("host1:4,host2:8")
+def test_worker_backend_count_and_hosts():
+    assert worker_backend(None) is None
+    local = worker_backend("4", depth=8)
+    assert local.spawn is True and local.parallelism() == 4
+    assert local.depth == 8
+    assert worker_backend("0").parallelism() == (os.cpu_count() or 1)
+    fleet = worker_backend("host1:4,host2:8").spawn
     assert isinstance(fleet, SshLauncher)
     assert fleet.count == 12
     assert fleet.hosts == [("host1", 4), ("host2", 8)]
-    solo = parse_worker_spec("gpu-box")
+    solo = worker_backend("gpu-box").spawn
     assert isinstance(solo, SshLauncher)
     assert solo.count == 1
+    cmd = worker_backend("host1:4,host2:8", worker_cmd="run {name}")
+    assert isinstance(cmd.spawn, CommandLauncher)
+    assert cmd.parallelism() == 12
 
 
-def test_parse_worker_spec_rejects_garbage():
+def test_worker_backend_rejects_garbage():
     with pytest.raises(ValueError):
-        parse_worker_spec(":4")
+        worker_backend(":4")
     with pytest.raises(ValueError):
-        parse_worker_spec("")
+        worker_backend("")
+    with pytest.raises(ValueError, match="--worker-cmd needs --workers"):
+        worker_backend(None, worker_cmd="run {name}")
+
+
+class _Captured(Exception):
+    pass
+
+
+def _experiments_backend(argv, monkeypatch):
+    """The backend ``python -m repro.experiments`` builds from ``argv``."""
+    import types
+
+    from repro.experiments import __main__ as cli
+
+    def capture(quick, seed, execution):
+        raise _Captured(execution.backend)
+
+    fake = types.SimpleNamespace(__name__="fake.probe", main=capture)
+    monkeypatch.setattr(cli, "ALL", (fake,))
+    with pytest.raises(_Captured) as got:
+        cli.main(argv + ["--no-cache"])
+    return got.value.args[0]
+
+
+def _campaign_backend(argv, monkeypatch, tmp_path):
+    """The backend ``python -m repro.campaign`` builds from ``argv``."""
+    import repro.campaign as cli
+
+    def capture(specs, root, *, backend, **_kw):
+        raise _Captured(backend)
+
+    monkeypatch.setattr(cli, "run_campaign", capture)
+    with pytest.raises(_Captured) as got:
+        cli.main(argv + ["--grid", "micro", "--points", "1",
+                         "--dir", str(tmp_path / "camp")])
+    return got.value.args[0]
+
+
+@pytest.mark.parametrize("argv,want", [
+    ([], None),
+    (["--workers", "0"], os.cpu_count() or 1),
+    (["--workers", "3"], 3),
+    (["--workers", "a:2,b:5"], 7),
+], ids=["omitted", "zero", "count", "fleet"])
+def test_both_clis_build_the_same_workers(argv, want, monkeypatch,
+                                          tmp_path):
+    for backend in (_experiments_backend(argv, monkeypatch),
+                    _campaign_backend(argv, monkeypatch, tmp_path)):
+        got = None if backend is None else backend.parallelism()
+        assert got == want
+
+
+def test_worker_cmd_without_workers_is_a_usage_error():
+    import repro.campaign
+    from repro.experiments import __main__ as experiments
+
+    for main in (experiments.main, repro.campaign.main):
+        with pytest.raises(SystemExit) as exc:
+            main(["--worker-cmd", "run {name}"])
+        assert exc.value.code == 2
 
 
 def test_ssh_launcher_remote_command_shape():
@@ -448,7 +515,7 @@ def test_ssh_launcher_sweeps_through_a_fake_ssh(tmp_path, monkeypatch):
                         remote_pythonpath=f"{ROOT}:{ROOT / 'src'}")
     specs = probe_specs(5)
     got = execute(specs, backend=wq(spawn=fleet), cache=tmp_path / "c")
-    want = execute(specs, jobs=1, cache=tmp_path / "base")
+    want = execute(specs, cache=tmp_path / "base")
     assert _payload_bytes(got) == _payload_bytes(want)
     calls = launches.read_text().splitlines()
     assert len(calls) == 2, calls  # the failed launch and its restart
@@ -461,7 +528,7 @@ def test_command_launcher_runs_the_sweep(tmp_path):
         "--name {name}", count=2, pythonpath=[ROOT]))
     specs = probe_specs(5)
     got = execute(specs, backend=backend, cache=tmp_path / "c")
-    want = execute(specs, jobs=1, cache=tmp_path / "base")
+    want = execute(specs, cache=tmp_path / "base")
     assert _payload_bytes(got) == _payload_bytes(want)
 
 

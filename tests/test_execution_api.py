@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.executor import LocalPoolBackend, Progress, ResultCache
+from repro.executor import Progress, ResultCache, WorkQueueBackend
 from repro.experiments.common import Execution, sweep
 from repro.runspec import RunSpec
 
@@ -30,27 +30,26 @@ def echo_specs(n=3):
 # ------------------------------------------------------------- Execution ----
 def test_execution_defaults_are_plain_in_process():
     ex = Execution()
-    assert ex.jobs == 1 and ex.backend is None and ex.cache is None
+    assert ex.backend is None and ex.cache is None
     assert ex.csv_dir is None and ex.progress is False and ex.profile is None
     assert ex.parallelism() == 1
 
 
 def test_execution_is_frozen_and_replace_copies():
-    ex = Execution(jobs=2)
+    ex = Execution(progress=True)
     with pytest.raises(AttributeError):
-        ex.jobs = 4
-    assert ex.replace(jobs=4).jobs == 4
-    assert ex.jobs == 2
+        ex.progress = False
+    assert ex.replace(progress=False).progress is False
+    assert ex.progress is True
 
 
-def test_execution_normalizes_jobs_and_csv_dir():
-    ex = Execution(jobs=0, csv_dir="out/csv")
-    assert ex.jobs == 1
+def test_execution_normalizes_csv_dir():
+    ex = Execution(csv_dir="out/csv")
     assert ex.csv_dir == Path("out/csv")
 
 
 def test_execution_parallelism_follows_the_backend():
-    ex = Execution(jobs=1, backend=LocalPoolBackend(jobs=6))
+    ex = Execution(backend=WorkQueueBackend(workers=6))
     assert ex.parallelism() == 6
 
 

@@ -6,15 +6,25 @@ import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
 from repro.config import CpuConfig, DatabaseConfig, SysplexConfig
 from repro import runner
-from repro.executor import ResultCache, execute, run_task
+from repro.distrib import worker
+from repro.executor import (
+    ResultCache,
+    WorkQueueBackend,
+    execute,
+    execute_iter,
+    run_task,
+)
 from repro.metrics import RunResult
 from repro.runner import run_oltp
 from repro.runspec import SCHEMA_VERSION, RunSpec, canonical_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_cfg(n_systems=2, data_sharing=True, seed=11):
@@ -132,10 +142,11 @@ def test_run_task_frees_the_finished_simulation(monkeypatch):
 
 
 def test_run_task_freeze_pins_no_point_garbage():
-    """run_task freezes what survives each point's collection, so every
-    object a point leaves behind must be freed before that freeze, or
-    each point would pin its leftovers for good.  Tracked plus frozen
-    objects stay flat from one micro point to the next."""
+    """A work-queue worker freezes what survives each point's
+    collection, so every object a point leaves behind must be freed
+    before that freeze, or each point would pin its leftovers for good.
+    Tracked plus frozen objects stay flat from one micro point to the
+    next through the worker's per-task call."""
     from repro.campaign import build_grid
 
     specs = build_grid("micro", 9, seed=0)
@@ -144,22 +155,40 @@ def test_run_task_freeze_pins_no_point_garbage():
         return len(gc.get_objects()) + gc.get_freeze_count()
 
     for spec in specs[:3]:  # one point of each size warms the imports
-        run_task(spec.to_dict())
+        worker._run_and_freeze(spec.to_dict(), None)
     before = census()
     for spec in specs[3:]:
-        run_task(spec.to_dict())
+        worker._run_and_freeze(spec.to_dict(), None)
     assert census() - before <= 20 * len(specs[3:])
 
 
+class _Node:
+    pass
+
+
+def test_in_process_execution_leaves_the_callers_garbage_collectable():
+    """The in-process path must not freeze the caller's heap: a cycle
+    alive while a sweep runs is collected once the caller drops it."""
+    node = _Node()
+    node.self = node
+    ref = weakref.ref(node)
+    execute([RunSpec(runner="tests.test_runspec_executor:probe_runner",
+                     params={"n": 1})])
+    del node
+    gc.collect()
+    assert ref() is None
+
+
 # ------------------------------------------------------------ determinism ----
-def test_jobs_1_jobs_2_and_cache_hit_are_identical(tmp_path):
+def test_in_process_workqueue_and_cache_hit_are_identical(tmp_path):
     specs = [small_spec(), small_spec(config=small_cfg(seed=12))]
     cache = ResultCache(tmp_path / "rc")
 
-    serial = execute(specs, jobs=1)
-    parallel = execute(specs, jobs=2, cache=cache)
+    serial = execute(specs)
+    parallel = execute(specs, cache=cache,
+                       backend=WorkQueueBackend(workers=2, pythonpath=[ROOT]))
     assert cache.misses == 2 and cache.hits == 0
-    hits = execute(specs, jobs=1, cache=cache)
+    hits = execute(specs, cache=cache)
     assert cache.hits == 2
 
     for a, b, c in zip(serial, parallel, hits):
@@ -173,7 +202,8 @@ def test_results_keep_spec_order(tmp_path):
                 label=f"s{i}", params={"n": i})
         for i in range(5)
     ]
-    got = execute(specs, jobs=2, cache=ResultCache(tmp_path / "rc"))
+    got = execute(specs, cache=ResultCache(tmp_path / "rc"),
+                  backend=WorkQueueBackend(workers=2, pythonpath=[ROOT]))
     assert [r["n"] for r in got] == [0, 2, 4, 6, 8]
 
 
@@ -208,18 +238,20 @@ def test_corrupt_and_stale_cache_entries_read_as_misses(tmp_path):
     assert stale.get(spec) is None
 
 
-def test_on_result_reports_cache_state(tmp_path):
+def test_completion_reports_cache_state(tmp_path):
     cache = ResultCache(tmp_path / "rc")
     spec = RunSpec(runner="tests.test_runspec_executor:probe_runner",
                    params={"n": 7})
-    seen = []
-
-    def cb(index, s, result, cached, seconds):
-        seen.append((index, result["n"], cached))
-
-    execute([spec], cache=cache, on_result=cb)
-    execute([spec], cache=cache, on_result=cb)
+    seen = [(c.index, c.result["n"], c.cached)
+            for _ in range(2) for c in execute_iter([spec], cache=cache)]
     assert seen == [(0, 14, False), (0, 14, True)]
+
+
+def test_progress_false_means_no_progress(capsys):
+    spec = RunSpec(runner="tests.test_runspec_executor:probe_runner",
+                   params={"n": 3})
+    assert execute([spec], progress=False) == [{"label": None, "n": 6}]
+    assert capsys.readouterr().err == ""
 
 
 # -------------------------------------------------------------------- csv ----

@@ -34,10 +34,12 @@ The directory is held **inverted**, with no per-block object:
   ``_seen[cid]`` (name → the non-zero version it last read or wrote; a
   registered name missing there was seen at version 0).
 
-A system's bulk prewarm is then a few C-level passes over its batch, and
-the cycle collector has no per-block object to walk.  One write's
-cross-invalidate signals go out in connection order; they all leave at
-one instant to distinct vectors, so their order is not observable.
+A sysplex's bulk prewarm is then one pass over the directory for the
+batch every member registers, plus one map update and one bit list per
+connection, and the cycle collector has no per-block object to walk.
+One write's cross-invalidate signals go out in connection order; they
+all leave at one instant to distinct vectors, so their order is not
+observable.
 """
 
 from __future__ import annotations
@@ -209,33 +211,40 @@ class CacheStructure(Structure):
         self.xi_signals += n
         return n
 
-    def prewarm_many(self, conn: Connector, names: Sequence[object],
-                     bits: Sequence[int]) -> None:
+    def prewarm_many(self, conns: Sequence[Connector],
+                     names: Sequence[object], bits: Sequence[int]) -> None:
         """Bulk :meth:`register_and_read` for benchmark prewarm.
 
         Registers ``names[i]`` at vector bit ``bits[i]`` for each ``i``
-        (the two sequences have the same length), leaving the exact final
-        state and statistics of calling :meth:`register_and_read` once per
-        pair (the hit/miss tuples are what prewarm discards anyway), in a
-        few C-level passes over the batch.  A batch that would overflow
-        the directory runs the command once per pair instead, so reclaim
+        (the two sequences have the same length) for every connection in
+        ``conns``, leaving the exact final state and statistics of calling
+        :meth:`register_and_read` once per pair for each connection in
+        turn (the hit/miss tuples are what prewarm discards anyway).
+
+        The directory is touched once: after the first connection's pass
+        the batch sits at the LRU tail in order, so every later pass would
+        leave it as it is.  Each connection then takes one name→bit map
+        and one bit list.  A batch that would overflow the directory runs
+        the command once per pair and connection instead, so reclaim
         picks the same victims.  Runs pre-simulation, so it must stay a
         plain state transform: no events, no clock reads.
         """
         self._check()
-        if not names:
+        if not names or not conns:
             return
         d = self._dir
         if (len(d) + len(names) > self.directory_entries
                 and len(d) + len(set(names).difference(d))
                 > self.directory_entries):
-            _exhaust(map(self.register_and_read, repeat(conn), names, bits))
+            for conn in conns:
+                _exhaust(map(self.register_and_read, repeat(conn), names,
+                             bits))
             return
-        cid = conn.conn_id
         before = len(d)
         # insert only the missing names: updating with every name pays for
         # the ones already present
         d.update(zip(filterfalse(d.__contains__, names), repeat(None)))
+        seen: Dict[object, int] = {}
         if len(d) - before < len(names):
             # some names were there already (or repeat): move the batch to
             # the LRU tail in order, and carry over versions and hits.  An
@@ -245,14 +254,27 @@ class CacheStructure(Structure):
             _exhaust(map(ch.move_to_end, filter(ch.__contains__, names)))
             version = self._version
             written = list(filter(version.__contains__, names))
-            self._seen[cid].update(zip(written,
-                                       map(version.__getitem__, written)))
-            self.read_hits += sum(map(self._data.__contains__, names))
-        self._regs[cid].update(zip(names, bits))
-        vector = self.vectors[cid]
-        vector._grow(max(bits))
-        _exhaust(map(setitem, repeat(vector._bits), bits, repeat(True)))
-        self.reads += len(names)
+            seen = dict(zip(written, map(version.__getitem__, written)))
+            self.read_hits += (sum(map(self._data.__contains__, names))
+                               * len(conns))
+        regs = dict(zip(names, bits))
+        # the batch's bits as one vector: a vector that has no bit yet
+        # (a connection's first batch) takes a copy of it
+        filled = [False] * (max(bits) + 1)
+        _exhaust(map(setitem, repeat(filled), bits, repeat(True)))
+        for conn in conns:
+            cid = conn.conn_id
+            self._regs[cid].update(regs)
+            if seen:
+                self._seen[cid].update(seen)
+            vector = self.vectors[cid]
+            if vector._bits:
+                vector._grow(len(filled) - 1)
+                _exhaust(map(setitem, repeat(vector._bits), bits,
+                             repeat(True)))
+            else:
+                vector._bits = filled.copy()
+        self.reads += len(names) * len(conns)
 
     def unregister(self, conn: Connector, name: object) -> None:
         """Drop interest (buffer stolen locally for reuse)."""

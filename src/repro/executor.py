@@ -339,10 +339,11 @@ class WorkQueueBackend:
     frames, and stream canonical payloads back.  Dispatch is
     **pipelined**: the server keeps up to ``depth`` tasks in flight per
     worker (refills batched into single frames) so workers never idle
-    for a round trip between points.  A worker that dies mid-task has
-    its in-flight tasks resubmitted to the queue (up to
-    ``max_resubmits`` attempts per task); a worker whose *runner* raises
-    reports the error, which surfaces at the submitter.
+    for a round trip between points; in a fleet of two or more, no
+    worker holds more than its share of the tasks left.  A worker that
+    dies mid-task has its in-flight tasks resubmitted to the queue (up
+    to ``max_resubmits`` attempts per task); a worker whose *runner*
+    raises reports the error, which surfaces at the submitter.
 
     ``spawn`` selects who starts the workers:
 
@@ -414,6 +415,7 @@ class WorkQueueBackend:
             cache_root=cache_root,
             max_resubmits=self.max_resubmits,
             depth=self.depth,
+            workers=self.parallelism(),
         )
         address = server.start(self.address)
         self.last_address = address

@@ -57,8 +57,8 @@ def _prewarm_sysplex(plex, gen, config):
         for offset, seg in gen._segments
         for p in seg.hottest(per_seg)
     ]
-    for inst in plex.instances.values():
-        inst.buffers.prewarm(hot)
+    first, *peers = [inst.buffers for inst in plex.instances.values()]
+    first.prewarm(hot, peers=peers)
 
 
 def _measure(owner, gen, offered, duration, warmup, label):

@@ -100,8 +100,8 @@ def run_partitioned_spec(spec: RunSpec) -> Dict:
         cluster.streams.stream("oltp"), router=cluster,
     )
     hot = pgen.sampler.hottest(pconfig.db.buffer_pages)
-    for stack in cluster._stacks:
-        stack["buffers"].prewarm(hot)
+    first, *peers = [stack["buffers"] for stack in cluster._stacks]
+    first.prewarm(hot, peers=peers)
     pgen.start_open_loop(spec.offered_tps_per_system)
     pcounter = cluster.metrics.counter("txn.completed")
     timeline: List[dict] = []

@@ -73,8 +73,8 @@ def build_loaded_sysplex(config: SysplexConfig,
     # steady-state setup: pools start warm with the hot working set, as
     # they would be after hours of production running
     hot = gen.sampler.hottest(config.db.buffer_pages)
-    for inst in plex.instances.values():
-        inst.buffers.prewarm(hot)
+    first, *peers = [inst.buffers for inst in plex.instances.values()]
+    first.prewarm(hot, peers=peers)
     return plex, gen
 
 

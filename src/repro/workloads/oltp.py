@@ -55,7 +55,7 @@ class PageSampler:
 
     def hottest(self, k: int) -> List[int]:
         """The ``k`` most-popular page ids (for buffer-pool prewarming)."""
-        return [int(p) for p in self._perm[: min(k, self.n_pages)]]
+        return self._perm[:k].tolist()
 
     def sample(self, k: int) -> List[int]:
         """Draw ``k`` distinct pages (sorted, for ordered lock acquisition)."""

@@ -218,34 +218,45 @@ def _cache_state(cache):
     }
 
 
-#: (connector index, [(name, bit), ...]) batches, applied in order
+#: (connector indices, [(name, bit), ...]) batches, applied in order
 PREWARM_BATCHES = [
     # duplicates, existing entries (changed with data, cast out, dataless,
     # a peer's), new names, and bits out of order that grow the vector
-    (0, [("new0", 11), ("changed", 5), ("new0", 12), ("castout", 0),
-         ("old0", 3), ("new1", 9), ("changed2", 20), ("changed", 6)]),
+    ((0,), [("new0", 11), ("changed", 5), ("new0", 12), ("castout", 0),
+            ("old0", 3), ("new1", 9), ("changed2", 20), ("changed", 6)]),
     # a second connector, on names the first just registered
-    (1, [("new1", 0), ("changed", 1), ("new2", 30), ("old2", 8)]),
+    ((1,), [("new1", 0), ("changed", 1), ("new2", 30), ("old2", 8)]),
+    # one batch for every connector, the fresh third one included, as a
+    # sysplex's warm start registers it: names each holds, a peer's, new
+    # ones and a duplicate
+    ((1, 2, 0), [("new3", 2), ("changed", 4), ("old1", 6), ("new3", 7),
+                 ("new0", 13), ("new4", 40)]),
 ]
 
 
 @pytest.mark.parametrize("directory_entries", [100, 8])
 def test_prewarm_many_matches_register_and_read(directory_entries):
     """prewarm_many leaves the exact state and statistics of one
-    register_and_read per pair.  With 8 directory entries the directory
-    is full before the first new name, so new entries reclaim dataless
-    ones (this batch's included) and invalidate their bits."""
+    register_and_read per pair, for each of the batch's connections in
+    turn.  With 8 directory entries the directory is full before the
+    first new name, so new entries reclaim dataless ones (this batch's
+    included) and invalidate their bits."""
     bulk, *bulk_conns = _built_cache(directory_entries)
     each, *each_conns = _built_cache(directory_entries)
+    bulk_conns.append(bulk.connect("SYS02"))
+    each_conns.append(each.connect("SYS02"))
     assert _cache_state(bulk) == _cache_state(each)
-    for i, pairs in PREWARM_BATCHES:
+    for indices, pairs in PREWARM_BATCHES:
         names, bits = zip(*pairs)
-        bulk.prewarm_many(bulk_conns[i], names, bits)
-        for name, bit in pairs:
-            each.register_and_read(each_conns[i], name, bit)
+        bulk.prewarm_many([bulk_conns[i] for i in indices], names, bits)
+        for i in indices:
+            for name, bit in pairs:
+                each.register_and_read(each_conns[i], name, bit)
         assert _cache_state(bulk) == _cache_state(each)
     if directory_entries == 8:
         assert bulk.reclaims > 0 and bulk.xi_signals > 0
     assert bulk.read_hits > 0
-    bulk.prewarm_many(bulk_conns[0], (), ())  # an empty batch is a no-op
+    # an empty batch, or one for no connection, is a no-op
+    bulk.prewarm_many(bulk_conns, (), ())
+    bulk.prewarm_many((), ("new0",), (1,))
     assert _cache_state(bulk) == _cache_state(each)

@@ -42,6 +42,8 @@ GOLDEN_GRID = Path(__file__).parent / "data" / "golden_grid.json"
 GOLDEN_DUPLEX = Path(__file__).parent / "data" / "golden_duplex.json"
 GOLDEN_SMALLPOOL = Path(__file__).parent / "data" / "golden_smallpool.json"
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.json"
+GOLDEN_PREWARM_CALLERS = (Path(__file__).parent / "data"
+                          / "golden_prewarm_callers.json")
 
 
 def _run(cfg, duration=0.25, warmup=0.15, options=None,
@@ -234,6 +236,31 @@ def test_sweep_subchannel_fallback_reproduces_golden():
     assert syncs == point["sync_ops"]
     assert syncs - sum(p.fast_syncs for p in ports) \
         == point["subchannel_fallbacks"]
+
+
+def test_prewarm_callers_reproduce_golden():
+    """The experiment runners that prewarm pools themselves are
+    byte-pinned: a balancing sysplex (one hot list for every member), the
+    balancing partitioned cluster (one hot list per owner) and the growth
+    partitioned cluster (one hot list for every owner, no CF) replay
+    their recorded payloads."""
+    from repro.experiments.exp_balancing import balancing_specs
+    from repro.experiments.exp_growth import growth_specs
+
+    specs = {
+        "exp_balancing": {s.label: s for s in balancing_specs(
+            n_systems=4, duration=0.3, warmup=0.1, seed=1)},
+        "exp_growth": {s.label: s for s in growth_specs(
+            n_initial=3, window=0.05, seed=1)},
+    }
+    fixture = json.loads(GOLDEN_PREWARM_CALLERS.read_text())
+    for point in fixture["points"]:
+        spec = specs[point["experiment"]][point["label"]]
+        sha, payload = _payload_sha(spec)
+        assert sha == point["payload_sha256"], point["label"]
+        for key in ("completed", "lost_txns"):
+            if key in point:
+                assert payload["data"][key] == point[key], point["label"]
 
 
 # ------------------------------------------------------ robustness gating ----

@@ -361,6 +361,7 @@ directory_ops = st.lists(
         st.booleans(),                          # changed
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)),
                  min_size=1, max_size=5),       # a prewarm batch
+        st.lists(st.integers(0, 4), max_size=3),  # its other connectors
     ),
     max_size=50,
 )
@@ -369,9 +370,13 @@ directory_ops = st.lists(
 @given(st.sampled_from([(1, 2), (2, 3), (3, 4)]), directory_ops)
 # two changed blocks, then a prewarm of the older one: the changed list
 # must follow it to the LRU tail
-@example((2, 3), [("write", 0, 0, 0, True, True, [(0, 0)]),
-                  ("write", 0, 1, 0, True, True, [(0, 0)]),
-                  ("prewarm", 1, 0, 0, False, False, [(0, 2)])])
+@example((2, 3), [("write", 0, 0, 0, True, True, [(0, 0)], []),
+                  ("write", 0, 1, 0, True, True, [(0, 0)], []),
+                  ("prewarm", 1, 0, 0, False, False, [(0, 2)], [])])
+# one batch for three connectors that overflows the directory: each
+# connector's pass reclaims entries the one before it registered
+@example((1, 2), [("prewarm", 0, 0, 0, False, False,
+                   [(0, 1), (1, 2), (2, 3)], [1, 2])])
 @settings(max_examples=300, deadline=None)
 def test_cache_directory_matches_per_entry_model(sizes, ops):
     """The inverted directory behaves exactly like a per-entry one: after
@@ -394,7 +399,7 @@ def test_cache_directory_matches_per_entry_model(sizes, ops):
 
     for _ in range(3):
         connect()
-    for op, c, p, bit, flag, changed, batch in ops:
+    for op, c, p, bit, flag, changed, batch, peers in ops:
         conn = conns[c % len(conns)]
         cid, page = conn.conn_id, f"pg{p}"
         live = cid in active
@@ -403,10 +408,18 @@ def test_cache_directory_matches_per_entry_model(sizes, ops):
             want = _outcome(lambda: ref.register_and_read(cid, page, bit))
             assert got == want
         elif op == "prewarm" and live:
+            # one batch names several connections: the reference
+            # registers it for each of them in turn
+            batch_conns = [other for other in dict.fromkeys(
+                conns[k % len(conns)] for k in [c, *peers])
+                if other.conn_id in active]
             names = [f"pg{q}" for q, _b in batch]
             bits = [b for _q, b in batch]
-            got = _outcome(lambda: cache.prewarm_many(conn, names, bits))
-            want = _outcome(lambda: [ref.register_and_read(cid, n, b)
+            got = _outcome(lambda: cache.prewarm_many(batch_conns, names,
+                                                      bits))
+            want = _outcome(lambda: [ref.register_and_read(other.conn_id,
+                                                           n, b)
+                                     for other in batch_conns
                                      for n, b in zip(names, bits)])
             assert (got is CacheFullError) == (want is CacheFullError)
         elif op == "write":

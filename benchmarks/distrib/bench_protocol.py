@@ -133,7 +133,7 @@ class LatencyRelay:
 
 def run_point(specs, workers, depth, latency_ms):
     tasks = [(i, s.to_dict()) for i, s in enumerate(specs)]
-    server = SweepServer(tasks, depth=depth)
+    server = SweepServer(tasks, workers=workers, depth=depth)
     addr = server.start("127.0.0.1:0")
     relay = None
     connect = addr

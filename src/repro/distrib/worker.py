@@ -43,6 +43,7 @@ import argparse
 import gc
 import logging
 import signal
+import socket
 import sys
 import threading
 import time
@@ -175,12 +176,21 @@ def serve(address: str, name: str = "worker",
             return False  # bye, or something we do not understand
 
         def goodbye() -> None:
-            """Flush results and hand unstarted tasks back."""
+            """Flush results, hand unstarted tasks back, and read until
+            the server hangs up: closing with a refill still unread would
+            reset the connection, and the reset can discard the bye."""
             flush()
             send_message(wfile, {
                 "op": "bye", "worker": name,
                 "abandoned": [t["id"] for t in pending],
             })
+            try:
+                sock.shutdown(socket.SHUT_WR)
+                sock.settimeout(10.0)  # the server hangs up on reading bye
+                while sock.recv(1 << 16):
+                    pass
+            except OSError:
+                pass  # gone or silent: the bye is out either way
 
         def run_one(task: dict) -> Tuple[dict, bool]:
             spec_dict = task["spec"]

@@ -164,7 +164,7 @@ def test_runner_exception_propagates_without_retry():
 
 
 def test_server_raises_when_no_worker_ever_connects():
-    server = SweepServer([(0, probe_specs(1)[0].to_dict())])
+    server = SweepServer([(0, probe_specs(1)[0].to_dict())], workers=1)
     server.start("127.0.0.1:0")
     try:
         with pytest.raises(WorkerTaskError):

@@ -3,8 +3,8 @@
 A discrete-event simulation library implementing the architecture of
 Nick, Chung & Bowen, "Overview of IBM System/390 Parallel Sysplex — A
 Commercial Parallel Processing System" (IPPS 1996): the Coupling Facility
-(lock / cache / list structures), the MVS multi-system services (XCF,
-couple data sets, heartbeat + SFM fencing, XES, WLM, ARM), the exploiting
+(lock / cache / list structures), the MVS multi-system services (couple
+data sets, heartbeat + SFM fencing, XES, WLM, ARM), the exploiting
 subsystems (global lock manager, coherent buffer manager, database and
 transaction managers, VTAM generic resources), the shared-nothing
 baseline the paper argues against, and the workloads/benchmarks that
@@ -50,7 +50,6 @@ from .config import (
     SysplexConfig,
     WlmConfig,
     XcfConfig,
-    quick_sysplex,
 )
 from .executor import (
     Progress,
@@ -60,7 +59,7 @@ from .executor import (
     execute_iter,
 )
 from .invariants import InvariantChecker, Violation, check_reconvergence
-from .metrics import RunResult, scalability_table
+from .metrics import RunResult
 from .options import RunOptions
 from .runner import build_loaded_sysplex, run_oltp, run_spec
 from .runspec import RunSpec
@@ -70,7 +69,6 @@ from .trace_analysis import (
     Attribution,
     attribute,
     attribution_delta,
-    format_attribution,
 )
 
 __version__ = "2.3.0"
@@ -156,11 +154,8 @@ __all__ = [
     "check_reconvergence",
     "execute",
     "execute_iter",
-    "format_attribution",
-    "quick_sysplex",
     "run",
     "run_oltp",
     "run_spec",
-    "scalability_table",
     "__version__",
 ]

@@ -43,7 +43,6 @@ import numpy as np
 from ..config import CfConfig
 from ..hardware.links import InterfaceControlCheck, LinkDownError, LinkSet
 from ..hardware.system import SystemNode, SystemDown
-from ..simkernel import Interrupt
 from .facility import CfFailedError, CouplingFacility
 
 __all__ = ["CfPort", "CfRequestTimeout", "mirror_sync", "mirror_async"]
@@ -96,15 +95,17 @@ class CfPort:
 
     # -- internals ----------------------------------------------------------
     def _service(self, fn: Callable[[], Any], data: bool, signal_wait: bool,
-                 box: list, service_factor: float = 1.0) -> Generator:
+                 box: list, service_factor: float = 1.0,
+                 abandoned: tuple | list = ()) -> Generator:
         svc = service_factor * self.config.cmd_service + (
             self.config.data_cmd_service if data else 0.0
         )
         yield from self.cf.execute(svc)
-        if not box:
+        if not box and not abandoned:
             # redrives re-pay the CF service but execute the structure
             # mutation exactly once (the first attempt may have executed
-            # at the CF with only the response lost)
+            # at the CF with only the response lost); an attempt whose
+            # requester timed out on it never executes it
             box.append(fn())
         if signal_wait:
             # CF responds only after observing signal completion (§3.3.2)
@@ -114,17 +115,16 @@ class CfPort:
                    service: Generator) -> Generator:
         """One guarded link round trip for the robust path.
 
-        Never fails as a process: outcomes come back as ``(tag, error)``
-        values so the timeout race in :meth:`_robust_trip` cannot leave
-        an undefused failed event behind.
+        Never fails as a process: it returns the error (``None`` on
+        success), so a trip that loses the timeout race in
+        :meth:`_robust_trip` and fails later leaves no undefused failed
+        event behind.
         """
         try:
             yield from link.occupy(out_bytes, in_bytes, service)
-        except Interrupt:
-            return ("interrupted", None)
         except Exception as exc:
-            return ("error", exc)
-        return ("ok", None)
+            return exc
+        return None
 
     def _robust_trip(self, fn: Callable[[], Any], out_bytes: int,
                      in_bytes: int, data: bool, signal_wait: bool,
@@ -142,37 +142,38 @@ class CfPort:
             except LinkDownError as exc:
                 last_error = exc
             else:
+                abandoned: list = []
                 trip = self.sim.process(
                     self._trip_once(
                         link, out_bytes, in_bytes,
                         self._service(fn, data, signal_wait, box,
-                                      service_factor),
+                                      service_factor, abandoned),
                     ),
                     name="cf-trip",
                 )
                 timer = self.sim.timeout(cfg.request_timeout)
                 yield self.sim.any_of([trip, timer])
                 if trip.triggered:
-                    tag, err = trip.value
-                    if tag == "ok":
+                    err = trip.value
+                    if err is None:
                         if attempt:
                             self.retries += attempt
                         return
                     # classify the in-flight failure
                     if isinstance(err, (CfFailedError, SystemDown)):
                         raise err
-                    if isinstance(err, LinkDownError):
-                        self.iccs += 1
-                        last_error = err
-                    elif err is not None:
+                    if not isinstance(err, LinkDownError):
                         # structure-level errors (e.g. StructureFailedError)
                         # are real command outcomes, not link trouble
                         raise err
-                    else:  # pragma: no cover - interrupted without timer
-                        last_error = CfRequestTimeout(self.cf.name)
+                    self.iccs += 1
+                    last_error = err
                 else:
-                    # the timeout beat the response: abandon the trip
-                    trip.interrupt("timeout")
+                    # the timeout beat the response: abandon the trip.  A
+                    # command on the link cannot be recalled, so it runs
+                    # out its round trip, holding its subchannel and CF
+                    # processor, but it no longer executes the mutation
+                    abandoned.append(True)
                     self.timeouts += 1
                     last_error = CfRequestTimeout(
                         f"{self.cf.name} via {link.name}"

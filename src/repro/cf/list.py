@@ -2,7 +2,7 @@
 
 Paper §3.3.3: a program-specified number of **list headers** hold entries
 created dynamically, queued LIFO/FIFO or in collating sequence by key,
-readable/updatable/deletable/movable **atomically** without software
+readable/deletable/movable **atomically** without software
 serialization.  Optional **lock entries** support conditional command
 execution (mainline commands run only while a given lock is free — the
 recovery-quiesce protocol the paper describes).  Programs can register
@@ -10,8 +10,8 @@ interest in a header and receive a **list-transition signal** when it goes
 empty → non-empty; like cache cross-invalidates, delivery costs the target
 no CPU (a local vector bit is set and observed by polling).
 
-Used by: VTAM generic resources, XCF signalling, shared work queues for
-dynamic workload distribution, and ARM's shared state.
+Used by: VTAM generic resources, the JES spool, and shared work queues
+for dynamic workload distribution.
 """
 
 from __future__ import annotations
@@ -90,14 +90,6 @@ class ListStructure(Structure):
             return True
         return self._locks[lock_index] == conn.conn_id
 
-    def lock_release(self, conn: Connector, lock_index: int) -> None:
-        self._check()
-        if self._locks[lock_index] == conn.conn_id:
-            self._locks[lock_index] = None
-
-    def lock_holder(self, lock_index: int) -> Optional[int]:
-        return self._locks[lock_index]
-
     def _check_lock_free(self, unless_lock: Optional[int]) -> None:
         """Conditional execution: reject mainline cmd while lock is held."""
         if unless_lock is not None and self._locks[unless_lock] is not None:
@@ -171,17 +163,6 @@ class ListStructure(Structure):
                 return True
         return False
 
-    def update(self, conn: Connector, header: int, entry_id: int, data: Any,
-               unless_lock: Optional[int] = None) -> bool:
-        """Atomically replace an entry's data block."""
-        self._check()
-        self._check_lock_free(unless_lock)
-        for e in self._headers[header].entries:
-            if e.entry_id == entry_id:
-                e.data = data
-                return True
-        return False
-
     # -- monitoring -----------------------------------------------------------
     def register_monitor(self, conn: Connector, header: int, bit_index: int) -> None:
         """Watch a header for empty→non-empty transitions."""
@@ -191,9 +172,6 @@ class ListStructure(Structure):
         # if already non-empty, the bit reflects that immediately
         if h.entries:
             self.vectors[conn.conn_id].set_valid(bit_index)
-
-    def deregister_monitor(self, conn: Connector, header: int) -> None:
-        self._headers[header].monitors.pop(conn.conn_id, None)
 
     def _signal_transition(self, h: _Header) -> None:
         for cid, bit in h.monitors.items():

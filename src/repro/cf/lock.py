@@ -37,10 +37,6 @@ class LockMode:
     SHR = "SHR"
     EXCL = "EXCL"
 
-    @staticmethod
-    def compatible(a: str, b: str) -> bool:
-        return a == LockMode.SHR and b == LockMode.SHR
-
 
 @dataclass
 class GrantResult:
@@ -174,18 +170,6 @@ class LockStructure(Structure):
         if not entry.holds:
             del self._table[idx]
 
-    def interest_of(self, conn: Connector) -> List[Tuple[object, str]]:
-        """All (name, mode) units currently recorded for a connector."""
-        out: List[Tuple[object, str]] = []
-        for entry in self._table.values():
-            names = entry.holds.get(conn.conn_id)
-            if not names:
-                continue
-            for name, (shr, excl) in names.items():
-                out.extend([(name, LockMode.SHR)] * shr)
-                out.extend([(name, LockMode.EXCL)] * excl)
-        return out
-
     # -- record data (persistent locks for recovery) -----------------------------
     def write_record(self, conn: Connector, lock_name: object, data: dict) -> None:
         """Persist lock info that survives the connector's system failing."""
@@ -249,10 +233,6 @@ class LockStructure(Structure):
         return ("lock", table, records)
 
     # -- diagnostics ----------------------------------------------------------------
-    @property
-    def occupied_entries(self) -> int:
-        return len(self._table)
-
     def false_contention_rate(self) -> float:
         if self.requests == 0:
             return 0.0

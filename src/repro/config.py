@@ -12,7 +12,7 @@ All times are in **seconds** (so ``12e-6`` is 12 µs).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "OltpConfig",
     "SysplexConfig",
     "DUPLEX_POLICIES",
-    "quick_sysplex",
 ]
 
 MICRO = 1e-6
@@ -350,9 +349,3 @@ _SUBCONFIG_TYPES = {
     "db": DatabaseConfig,
     "oltp": OltpConfig,
 }
-
-
-def quick_sysplex(n_systems: int = 2, n_cpus: int = 1, **kw) -> SysplexConfig:
-    """A small configuration suitable for tests and examples."""
-    cfg = SysplexConfig(n_systems=n_systems, cpu=CpuConfig(n_cpus=n_cpus))
-    return replace(cfg, **kw) if kw else cfg

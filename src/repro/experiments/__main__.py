@@ -39,6 +39,7 @@ from . import (
     exp_chaos,
     exp_coherency,
     exp_dss,
+    exp_duplex,
     exp_generic_resources,
     exp_goal_mode,
     exp_growth,
@@ -56,6 +57,7 @@ ALL = (
     exp_balancing,
     exp_availability,
     exp_cf_failover,
+    exp_duplex,
     exp_chaos,
     exp_locktable,
     exp_coherency,

@@ -40,7 +40,6 @@ from .common import Execution, print_rows, scaled_config, sweep
 __all__ = [
     "chaos_spec",
     "soak_specs",
-    "run_chaos",
     "run_chaos_spec",
     "run_soak",
     "main",
@@ -248,13 +247,6 @@ def _live_ports(plex) -> List:
             if port is not None:
                 ports.append(port)
     return ports
-
-
-def run_chaos(n_systems: int = 3, seed: int = 1,
-              execution: Optional[Execution] = None, **kw) -> Dict:
-    """One chaos run (library entry point)."""
-    return sweep([chaos_spec(n_systems, seed, **kw)],
-                 execution=execution)[0]
 
 
 def soak_specs(n_seeds: int = 20, seed0: int = 1, **kw) -> List[RunSpec]:

@@ -8,8 +8,6 @@ from .links import (
     InterfaceControlCheck,
     LinkDownError,
     LinkSet,
-    Message,
-    MessageFabric,
 )
 from .system import SystemDown, SystemNode
 from .timer import SysplexTimer, TodClock
@@ -23,8 +21,6 @@ __all__ = [
     "InterfaceControlCheck",
     "LinkDownError",
     "LinkSet",
-    "Message",
-    "MessageFabric",
     "SysplexTimer",
     "SystemDown",
     "SystemNode",

@@ -122,12 +122,5 @@ class CpuComplex:
     def n_cpus(self) -> int:
         return self.config.n_cpus
 
-    def utilization(self, since: float = 0.0) -> float:
-        return self.engines.utilization(since)
-
-    def reset_stats(self) -> None:
-        self.engines.reset_stats()
-        self.busy_seconds = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CpuComplex {self.name} {self.n_cpus}-way>"

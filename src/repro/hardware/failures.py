@@ -1,8 +1,10 @@
 """Failure injection: scripted outages for availability experiments.
 
 Reproduces the paper's §2.5 scenarios: unplanned system loss (hardware or
-software), planned removal for maintenance ("rolled through the parallel
-sysplex one system at a time"), CF loss, link loss, and DASD path loss.
+software) and planned removal for maintenance ("rolled through the
+parallel sysplex one system at a time").  CF, link and DASD-path faults
+are scheduled through the generic :meth:`FailureInjector.at` with the
+component's own ``fail``/``repair`` method as the action.
 
 Every scheduled action is logged as ``(time, label)``; the labels name
 the affected component (``crash:SYS02``, ``link-fail:SYS00-CF01.1``) so
@@ -30,18 +32,15 @@ class FailureInjector:
     def at(self, when: float, label: str, action: Callable[[], None]) -> None:
         """Schedule an arbitrary labelled action (logged when it fires).
 
-        The building block under every scenario method below; exposed so
-        chaos schedules and tests can inject guarded or custom actions
-        through the same logged path.
+        The building block under every scenario method below; any other
+        fault (``at(t, "cf-fail:CF01", cf.fail)``) goes through the same
+        logged path.
         """
         def fire():
             self.log.append((self.sim.now, label))
             action()
 
         self.sim.call_at(when, fire)
-
-    # kept as an alias: older call sites used the private spelling
-    _at = at
 
     def log_events(self) -> List[list]:
         """The fired-event log as JSON-ready ``[time, label]`` rows."""
@@ -67,22 +66,3 @@ class FailureInjector:
         for node in nodes:
             self.planned_outage(node, t, outage)
             t += outage + gap
-
-    # -- coupling facility / links -------------------------------------------
-    def fail_cf(self, cf, at: float) -> None:
-        self.at(at, f"cf-fail:{cf.name}", cf.fail)
-
-    def fail_link(self, linkset, at: float, index: int = 0) -> None:
-        self.at(at, f"link-fail:{linkset.name}.{index}",
-                lambda: linkset.fail_link(index))
-
-    def repair_link(self, linkset, at: float, index: int = 0) -> None:
-        self.at(at, f"link-repair:{linkset.name}.{index}",
-                lambda: linkset.repair_link(index))
-
-    # -- DASD ---------------------------------------------------------------
-    def fail_dasd_path(self, device, at: float) -> None:
-        self.at(at, f"path-fail:{device.name}", device.fail_path)
-
-    def repair_dasd_path(self, device, at: float) -> None:
-        self.at(at, f"path-repair:{device.name}", device.repair_path)

@@ -1,32 +1,32 @@
-"""Coupling links and the inter-system message fabric.
+"""Coupling links: the transport between a system and a Coupling Facility.
 
 Two transports exist in a Parallel Sysplex and the paper is emphatic about
 the difference:
 
 * **Coupling links** — specialized fiber-optic channels to the Coupling
   Facility with protocols "for highly-optimized transport of commands";
-  microsecond round trips, usable CPU-synchronously.
+  microsecond round trips, usable CPU-synchronously.  This module models
+  them.
 * **XCF signalling paths** (CTC-like) — general inter-system messaging:
   hundreds of microseconds of latency plus real CPU (SRB dispatch,
   interrupt handling) at both ends.  This is the "message passing
   overhead" that data-sharing via the CF *avoids* and the shared-nothing
-  baseline pays constantly.
+  baseline pays constantly.  It has no transport object here: each
+  sender — transaction shipping, lock negotiation, DSS fan-out and the
+  baselines — charges ``XcfConfig.message_latency`` and ``message_cpu``
+  where it sends.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-from ..config import LinkConfig, XcfConfig
-from ..simkernel import Resource, Simulator, Store
+from ..config import LinkConfig
+from ..simkernel import Resource, Simulator
 
 __all__ = [
     "CouplingLink",
     "InterfaceControlCheck",
     "LinkDownError",
     "LinkSet",
-    "Message",
-    "MessageFabric",
 ]
 
 
@@ -134,85 +134,3 @@ class LinkSet:
     @property
     def operational(self) -> bool:
         return any(link.operational for link in self.links)
-
-
-class Message:
-    """An XCF signal: sender name, type tag, and a payload dict."""
-
-    __slots__ = ("sender", "kind", "payload", "sent_at")
-
-    def __init__(self, sender: str, kind: str, payload: dict, sent_at: float):
-        self.sender = sender
-        self.kind = kind
-        self.payload = payload
-        self.sent_at = sent_at
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Message {self.kind} from {self.sender}>"
-
-
-class MessageFabric:
-    """Point-to-point XCF signalling between named endpoints.
-
-    An endpoint is registered with its CPU complex (both ends pay
-    ``message_cpu``) and receives into a :class:`Store` inbox.  Sends to
-    de-registered (failed/fenced) endpoints are silently dropped — exactly
-    the fail-stop behaviour the paper's heartbeat/fencing design enforces.
-    """
-
-    def __init__(self, sim: Simulator, config: XcfConfig):
-        self.sim = sim
-        self.config = config
-        self._endpoints: Dict[str, Tuple[object, Store]] = {}
-        self.sent = 0
-        self.delivered = 0
-
-    def register(self, name: str, cpu) -> Store:
-        inbox = Store(self.sim)
-        self._endpoints[name] = (cpu, inbox)
-        return inbox
-
-    def deregister(self, name: str) -> None:
-        self._endpoints.pop(name, None)
-
-    def is_registered(self, name: str) -> bool:
-        return name in self._endpoints
-
-    def send(self, sender: str, dest: str, kind: str, payload: dict) -> None:
-        """Fire-and-forget signal; delivery after wire latency + CPU.
-
-        Callable from plain code (no yield): spawns the delivery process.
-        """
-        self.sent += 1
-        self.sim.process(self._deliver(sender, dest, kind, payload),
-                         name=f"xcf-send-{kind}")
-
-    def _deliver(self, sender: str, dest: str, kind: str, payload: dict):
-        from .cpu import SystemDown
-
-        try:
-            src = self._endpoints.get(sender)
-            if src is not None:
-                yield from src[0].consume(self.config.message_cpu)
-            yield self.sim.timeout(self.config.message_latency)
-            entry = self._endpoints.get(dest)
-            if entry is None:
-                return  # destination fenced or never joined: drop
-            cpu, inbox = entry
-            yield from cpu.consume(self.config.message_cpu)
-            inbox.put(Message(sender, kind, payload, self.sim.now))
-            self.delivered += 1
-        except SystemDown:
-            return  # either end died mid-transfer: the signal is lost
-
-    def broadcast(self, sender: str, kind: str, payload: dict,
-                  exclude: Optional[set] = None) -> int:
-        """Send to every registered endpoint except ``sender``/``exclude``."""
-        exclude = exclude or set()
-        n = 0
-        for name in list(self._endpoints):
-            if name == sender or name in exclude:
-                continue
-            self.send(sender, name, kind, payload)
-            n += 1
-        return n

@@ -3,7 +3,7 @@
 Bundles the hardware a single sysplex member owns — CPU complex, TOD
 clock, coupling links to each CF — plus the liveness state that the
 failure-injection and recovery machinery manipulates.  Software components
-(XCF member, subsystems) attach themselves via ``on_failure`` /
+(the heartbeat monitor) attach themselves via ``on_failure`` /
 ``on_restart`` hooks so a single ``fail()`` call propagates exactly like a
 machine check taking down the whole image.
 """

@@ -7,13 +7,12 @@ lock statistics — so benchmark tables print uniformly across experiments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["RunResult", "scalability_table"]
+__all__ = ["RunResult"]
 
 
 @dataclass
@@ -94,27 +93,3 @@ class RunResult:
             f"p95 {1e3 * self.response_p95:7.2f} ms   "
             f"util {100 * self.mean_utilization:5.1f}%"
         )
-
-
-def scalability_table(results: List[RunResult], base_throughput: float,
-                      capacity_of=None) -> List[dict]:
-    """Turn raw sweep results into Figure-3-style rows.
-
-    ``base_throughput`` is the 1-engine reference; ``capacity_of`` maps a
-    result to its physical engine count (defaults to parsing the label).
-    Effective capacity = throughput / base_throughput.
-    """
-    rows = []
-    for r in results:
-        physical = capacity_of(r) if capacity_of else r.extras.get("physical", 0)
-        effective = r.throughput / base_throughput if base_throughput else math.nan
-        rows.append(
-            {
-                "label": r.label,
-                "physical": physical,
-                "effective": effective,
-                "efficiency": effective / physical if physical else math.nan,
-                "throughput": r.throughput,
-            }
-        )
-    return rows

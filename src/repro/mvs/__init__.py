@@ -1,13 +1,13 @@
-"""MVS multi-system services: XCF, couple data sets, heartbeat/SFM, XES,
-WLM, and the Automatic Restart Manager (paper §3.2, §5.1)."""
+"""MVS multi-system services: couple data sets, heartbeat/SFM, XES, WLM,
+the Automatic Restart Manager and the operations console (paper §2.1,
+§3.2).  XCF group signalling and RACF are not modelled: no claim the
+repo measures rests on them (see DESIGN.md §6)."""
 
 from .arm import ArmElement, AutomaticRestartManager
 from .cds import CdsUnavailableError, CoupleDataSet
 from .heartbeat import SysplexMonitor
 from .operations import OperationsConsole
-from .racf import SecurityManager, SecurityProfile
 from .wlm import ServiceClass, WorkloadManager
-from .xcf import XcfGroupServices, XcfMember
 from .xes import XesConnection, XesServices
 
 __all__ = [
@@ -16,13 +16,9 @@ __all__ = [
     "CdsUnavailableError",
     "CoupleDataSet",
     "OperationsConsole",
-    "SecurityManager",
-    "SecurityProfile",
     "ServiceClass",
     "SysplexMonitor",
     "WorkloadManager",
-    "XcfGroupServices",
-    "XcfMember",
     "XesConnection",
     "XesServices",
 ]

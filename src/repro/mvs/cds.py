@@ -3,10 +3,11 @@
 Paper §3.2, second service: "efficient, shared access to operating system
 resource state data ... located on shared disks", with **serialized access**
 (hardware reserve with "special time-out logic to handle faulty
-processors"), **duplexing** of the disks holding the state, and "hot
-switching" of the duplexed pair for planned and unplanned changes.
+processors") and **duplexing** of the disks holding the state.  The
+paper's "hot switching" of the duplexed pair is not modelled: no
+experiment loses a couple data set.
 
-XCF membership state and the system status (heartbeat) table live here.
+The system status (heartbeat) table lives here.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ class CoupleDataSet:
         self.alternate = alternate
         self.reserve_timeout = reserve_timeout
         # The logical content is one copy; duplexing buys availability,
-        # not divergence.  Versions let readers detect staleness.
+        # not divergence.
         self._data: Dict[str, Any] = {}
-        self._versions: Dict[str, int] = {}
-        self.switches = 0
         self.writes = 0
         self.reads = 0
         # reserve holder -> acquisition time, for the timeout logic
@@ -57,7 +56,6 @@ class CoupleDataSet:
         try:
             yield from dev.io()
             self._data[key] = value
-            self._versions[key] = self._versions.get(key, 0) + 1
             if self.alternate is not None:
                 yield from self.alternate.io()  # duplexed write
             self.writes += 1
@@ -78,13 +76,6 @@ class CoupleDataSet:
         yield from dev.io()
         self.reads += 1
         return dict(self._data)
-
-    def peek(self, key: str) -> Any:
-        """Zero-time read for assertions/diagnostics (not a modeled I/O)."""
-        return self._data.get(key)
-
-    def version(self, key: str) -> int:
-        return self._versions.get(key, 0)
 
     # -- fault handling ----------------------------------------------------------
     def break_stale_reserves(self) -> int:
@@ -108,17 +99,6 @@ class CoupleDataSet:
         if self.primary is not None:
             self.primary.break_reserve(holder)
         self._reserve_taken_at.pop(holder, None)
-
-    def hot_switch(self, new_alternate: Optional[DasdDevice] = None) -> None:
-        """Promote the alternate to primary (planned or unplanned change).
-
-        In-flight content is preserved — that is the point of duplexing.
-        """
-        if self.alternate is None:
-            raise CdsUnavailableError("no alternate to switch to")
-        self.primary = self.alternate
-        self.alternate = new_alternate
-        self.switches += 1
 
     def _require_primary(self) -> DasdDevice:
         if self.primary is None:

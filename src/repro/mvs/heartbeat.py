@@ -7,10 +7,10 @@ multi-system components to be designed with a 'fail-stop' strategy."
 
 Each system writes a status timestamp into the couple data set on a fixed
 interval; a detector sweep declares a system *status-missing* after the
-configured number of missed updates, then **fences** it: cuts its fabric
-endpoints, breaks any couple-data-set reserve it held, marks the node
-fenced, partitions its XCF members out, and finally invokes the
-partition hooks (ARM, peer recovery, workload redistribution).
+configured number of missed updates, then **fences** it: marks the node
+fenced, breaks any couple-data-set reserve it held, and invokes the
+partition hooks (ARM, peer recovery, workload redistribution) — the
+path by which the rest of the sysplex hears of the failure.
 
 The fencing step is what makes a flaky system safe: a node that "appears
 faulty because of the heartbeat function and then resumes processing"
@@ -25,7 +25,6 @@ from ..config import XcfConfig
 from ..hardware.system import SystemNode
 from ..simkernel import Simulator
 from .cds import CoupleDataSet
-from .xcf import XcfGroupServices
 
 __all__ = ["SysplexMonitor"]
 
@@ -33,12 +32,10 @@ __all__ = ["SysplexMonitor"]
 class SysplexMonitor:
     """Heartbeat writer per system + sysplex-wide failure detector."""
 
-    def __init__(self, sim: Simulator, config: XcfConfig, cds: CoupleDataSet,
-                 xcf: XcfGroupServices):
+    def __init__(self, sim: Simulator, config: XcfConfig, cds: CoupleDataSet):
         self.sim = sim
         self.config = config
         self.cds = cds
-        self.xcf = xcf
         self.nodes: List[SystemNode] = []
         self._partition_hooks: List[Callable[[SystemNode], None]] = []
         self._rejoin_hooks: List[Callable[[SystemNode], None]] = []
@@ -115,15 +112,11 @@ class SysplexMonitor:
         self.in_sysplex[node.name] = False
         node.fence()
         self.cds.break_reserve_of(node.name)
-        self.xcf.partition_out(node)
         for hook in self._partition_hooks:
             hook(node)
 
     def remove_planned(self, node: SystemNode) -> None:
-        """Planned removal: quiesce without failure semantics (the caller
-        has already drained work).  Members leave rather than fail."""
+        """Planned removal: the system leaves without failure semantics
+        (the caller has already drained work), so the detector neither
+        counts it nor runs the partition hooks."""
         self.in_sysplex[node.name] = False
-        for group in list(self.xcf._groups):
-            for member in list(self.xcf.members_of(group)):
-                if member.node is node:
-                    member.leave()

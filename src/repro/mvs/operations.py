@@ -53,17 +53,6 @@ class OperationsConsole:
             }
         return out
 
-    def display_cf(self) -> List[dict]:
-        return [
-            {
-                "name": cf.name,
-                "state": "FAILED" if cf.failed else "ACTIVE",
-                "structures": sorted(cf.structures),
-                "commands": cf.commands_executed,
-            }
-            for cf in self.sysplex.cfs
-        ]
-
     # -- planned reconfiguration ------------------------------------------------
     def vary_offline(self, node: SystemNode,
                      drain_timeout: float = 60.0) -> Generator:
@@ -86,7 +75,7 @@ class OperationsConsole:
                and self.sim.now < deadline):
             yield self.sim.timeout(0.02)
         drained = inst.tm.tasks.in_use == 0 and inst.tm.tasks.queue_length == 0
-        # 3. leave: members exit their groups, then the image stops;
+        # 3. leave: the system leaves the sysplex, then the image stops;
         # the monitor is told this is planned so SFM does not "detect" it
         plex.monitor.remove_planned(node)
         if inst.castout is not None:
@@ -106,13 +95,3 @@ class OperationsConsole:
         """Bring a varied-off system back (it re-IPLs and rejoins)."""
         self.command_log.append((self.sim.now, f"VARY {node.name},ONLINE"))
         node.restart()
-
-    def rolling_upgrade(self, outage: float = 1.0,
-                        gap: float = 0.5) -> Generator:
-        """Process step: §2.5's release migration — roll every system
-        through a planned offline/online cycle, one at a time."""
-        for node in list(self.sysplex.nodes):
-            yield from self.vary_offline(node)
-            yield self.sim.timeout(outage)
-            self.vary_online(node)
-            yield self.sim.timeout(gap)

@@ -5,7 +5,6 @@ from .core import (
     AnyOf,
     Condition,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -14,18 +13,16 @@ from .core import (
     NORMAL,
     URGENT,
 )
-from .monitor import Counter, MetricSet, Tally, TimeWeighted
+from .monitor import Counter, MetricSet, Tally
 from .random import RandomStreams, zipf_weights
-from .resources import Container, Request, Resource, Store
+from .resources import Request, Resource
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "Counter",
     "Event",
-    "Interrupt",
     "MetricSet",
     "NORMAL",
     "Process",
@@ -35,9 +32,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "StopSimulation",
-    "Store",
     "Tally",
-    "TimeWeighted",
     "Timeout",
     "URGENT",
     "zipf_weights",

@@ -30,7 +30,6 @@ __all__ = [
     "Condition",
     "AnyOf",
     "AllOf",
-    "Interrupt",
     "SimulationError",
     "StopSimulation",
     "URGENT",
@@ -38,7 +37,7 @@ __all__ = [
 ]
 
 #: Scheduling priority for events that must fire before same-time NORMAL ones
-#: (used internally for process resumption after interrupts).
+#: (used internally for a process's start and its terminal event).
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -55,17 +54,6 @@ class SimulationError(Exception):
 
 class StopSimulation(Exception):
     """Raised internally to end :meth:`Simulator.run` early."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -181,14 +169,13 @@ class Process(Event):
     value, or fails with any exception that escapes the generator.
     """
 
-    __slots__ = ("_generator", "_target", "name", "_cb")
+    __slots__ = ("_generator", "name", "_cb")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(sim)
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         #: the bound resume callback, allocated once instead of on every
         #: suspension (callbacks.append(self._resume) re-binds each time)
@@ -203,30 +190,6 @@ class Process(Event):
         init.callbacks.append(self._cb)
         sim._seq = seq = sim._seq + 1
         heappush(sim._queue, (sim._now, URGENT, seq, init))
-
-    @property
-    def is_alive(self) -> bool:
-        return self._state == _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._state != _PENDING:
-            return  # already finished; interrupt is a no-op
-        ev = Event(self.sim)
-        ev._ok = False
-        ev._value = Interrupt(cause)
-        ev._defused = True
-        ev._state = _TRIGGERED
-        ev.callbacks.append(self._cb)
-        # Detach from whatever we were waiting on so that event no longer
-        # resumes us when it fires.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._cb)
-            except ValueError:
-                pass
-        self._target = None
-        self.sim._enqueue(0.0, URGENT, ev)
 
     def _resume(self, event: Event) -> None:
         # the kernel's innermost loop: one call per process suspension;
@@ -245,7 +208,6 @@ class Process(Event):
                     target = gen.throw(event._value)
             except StopIteration as exc:
                 sim._active_process = None
-                self._target = None
                 if self._state == _PENDING:
                     if sim._elide_done and not self.callbacks:
                         # collapse mode, nobody waiting: the terminal event
@@ -263,7 +225,6 @@ class Process(Event):
                 return
             except BaseException as exc:
                 sim._active_process = None
-                self._target = None
                 if self._state == _PENDING:
                     self.fail(exc, priority=URGENT)
                     if sim._process_watchers:
@@ -279,7 +240,6 @@ class Process(Event):
                     )
                 if target._state != _PROCESSED:
                     target.callbacks.append(self._cb)
-                    self._target = target
                     sim._active_process = None
                     return
                 # Already over: feed its value straight back in.
@@ -290,7 +250,6 @@ class Process(Event):
                 f"process {self.name!r} yielded non-event {target!r}"
             )
             sim._active_process = None
-            self._target = None
             try:
                 gen.throw(err)
             except StopIteration:

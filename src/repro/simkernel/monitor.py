@@ -1,49 +1,29 @@
-"""Measurement primitives: counters, tallies, and time-weighted averages.
+"""Measurement primitives: counters and tallies.
 
-These feed the experiment harness; every metric the benchmark tables print
-comes from one of these three collectors.
+These feed the experiment harness; every per-transaction metric the
+benchmark tables print comes from one of these two collectors (resource
+utilization is time-weighted by the resources themselves).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["Counter", "Tally", "TimeWeighted", "MetricSet"]
+__all__ = ["Counter", "Tally", "MetricSet"]
 
 
 class Counter:
-    """A monotonically increasing event count with rate support."""
+    """A monotonically increasing event count."""
 
     def __init__(self, name: str = ""):
         self.name = name
         self.count = 0
-        self._marks: List[tuple] = []  # (time, count) checkpoints
 
     def add(self, n: int = 1) -> None:
         self.count += n
-
-    def mark(self, now: float) -> None:
-        """Checkpoint the current count at simulated time ``now``."""
-        self._marks.append((now, self.count))
-
-    def rate(self, start: float, end: float) -> float:
-        """Events per second between two previously marked times."""
-        if end <= start:
-            return 0.0
-        c0 = self._value_at(start)
-        c1 = self._value_at(end)
-        return (c1 - c0) / (end - start)
-
-    def _value_at(self, t: float) -> int:
-        # marks are appended at monotonically increasing simulated times,
-        # so the latest mark at-or-before ``t`` is found by binary search
-        # (a linear scan here made sweep-wide rate() queries O(n^2))
-        i = bisect_right(self._marks, t, key=lambda m: m[0])
-        return self._marks[i - 1][1] if i else 0
 
 
 class Tally:
@@ -63,10 +43,6 @@ class Tally:
     @property
     def mean(self) -> float:
         return float(np.mean(self._values)) if self._values else math.nan
-
-    @property
-    def std(self) -> float:
-        return float(np.std(self._values)) if self._values else math.nan
 
     @property
     def maximum(self) -> float:
@@ -89,59 +65,8 @@ class Tally:
             return [math.nan] * len(qs)
         return [float(v) for v in np.percentile(self._values, list(qs))]
 
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=np.float64)
-
     def reset(self) -> None:
         self._values.clear()
-
-
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant quantity.
-
-    Call :meth:`update` whenever the level changes; :meth:`mean` integrates
-    level x dt over the observation window.
-    """
-
-    def __init__(self, sim, initial: float = 0.0, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._level = float(initial)
-        self._area = 0.0
-        self._t0 = sim.now
-        self._last = sim.now
-        self._peak = float(initial)
-
-    def update(self, level: float) -> None:
-        now = self.sim.now
-        self._area += self._level * (now - self._last)
-        self._last = now
-        self._level = float(level)
-        self._peak = max(self._peak, self._level)
-
-    def add(self, delta: float) -> None:
-        self.update(self._level + delta)
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    @property
-    def peak(self) -> float:
-        return self._peak
-
-    def mean(self) -> float:
-        now = self.sim.now
-        span = now - self._t0
-        if span <= 0:
-            return self._level
-        return (self._area + self._level * (now - self._last)) / span
-
-    def reset(self) -> None:
-        self._area = 0.0
-        self._t0 = self.sim.now
-        self._last = self.sim.now
-        self._peak = self._level
 
 
 class MetricSet:
@@ -151,7 +76,6 @@ class MetricSet:
         self.sim = sim
         self.counters: Dict[str, Counter] = {}
         self.tallies: Dict[str, Tally] = {}
-        self.gauges: Dict[str, TimeWeighted] = {}
 
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
@@ -164,22 +88,3 @@ class MetricSet:
         if t is None:
             t = self.tallies[name] = Tally(name)
         return t
-
-    def gauge(self, name: str, initial: float = 0.0) -> TimeWeighted:
-        g = self.gauges.get(name)
-        if g is None:
-            g = self.gauges[name] = TimeWeighted(self.sim, initial, name)
-        return g
-
-    def snapshot(self) -> Dict[str, float]:
-        """A flat dict of headline values (counts, means) for reporting."""
-        out: Dict[str, float] = {}
-        for name, c in self.counters.items():
-            out[f"{name}.count"] = c.count
-        for name, t in self.tallies.items():
-            if t.n:
-                out[f"{name}.mean"] = t.mean
-                out[f"{name}.n"] = t.n
-        for name, g in self.gauges.items():
-            out[f"{name}.mean"] = g.mean()
-        return out

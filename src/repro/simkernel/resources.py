@@ -1,24 +1,22 @@
 """Shared-resource primitives for the simulation kernel.
 
-:class:`Resource`  — ``capacity`` identical servers with a FIFO (optionally
+:class:`Resource` — ``capacity`` identical servers with a FIFO (optionally
 priority-ordered) wait queue; models CPU engines, channel paths, link
-subchannels.
+subchannels and CF processors.  A :class:`Request` is its claim: yield it
+to wait for the grant, ``cancel()`` it to release the unit or to withdraw
+from the queue.
 
-:class:`Store` — an unbounded FIFO of Python objects with blocking ``get``;
-models message queues and work queues.
-
-:class:`Container` — a continuous level (tokens) with blocking ``get``;
-models buffer-pool free space and similar counted capacity.
+The model's queues of work (CF list structures, the JES spool) are model
+objects of their own, so the kernel has no store or level primitive.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, List
 
 from .core import _PENDING, _TRIGGERED, Event, Simulator, NORMAL
 
-__all__ = ["Resource", "Request", "Store", "Container"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -88,10 +86,6 @@ class Resource:
         if span <= 0:
             return 0.0
         return self._busy_area / (span * self.capacity)
-
-    def reset_stats(self) -> None:
-        self._busy_area = 0.0
-        self._last_change = self.sim.now
 
     def busy_area(self) -> float:
         """Cumulative busy engine-seconds (for windowed utilization)."""
@@ -200,72 +194,3 @@ class Resource:
                 self._dispatch()
         elif req._key:
             req._key = None  # lazily discarded by _dispatch
-
-
-class Store:
-    """Unbounded FIFO of items with blocking ``get``."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.items: List[Any] = []
-        self._getters: List[Event] = []
-
-    def put(self, item: Any) -> None:
-        """Deposit an item (never blocks)."""
-        while self._getters:
-            getter = self._getters.pop(0)
-            if getter.triggered:
-                continue  # waiter withdrew (e.g. interrupted)
-            getter.succeed(item)
-            return
-        self.items.append(item)
-
-    def get(self) -> Event:
-        """An event that fires with the next item (FIFO)."""
-        ev = Event(self.sim)
-        if self.items:
-            ev.succeed(self.items.pop(0))
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-class Container:
-    """A continuous level of tokens with blocking ``get``."""
-
-    def __init__(self, sim: Simulator, init: float = 0.0, capacity: float = float("inf")):
-        if init < 0 or init > capacity:
-            raise ValueError("init outside [0, capacity]")
-        self.sim = sim
-        self.level = float(init)
-        self.capacity = float(capacity)
-        self._getters: list = []  # (amount, event) FIFO
-
-    def put(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("negative put")
-        self.level = min(self.capacity, self.level + amount)
-        self._drain()
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("negative get")
-        ev = Event(self.sim)
-        self._getters.append((amount, ev))
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        while self._getters:
-            amount, ev = self._getters[0]
-            if ev.triggered:
-                self._getters.pop(0)
-                continue
-            if amount > self.level:
-                break
-            self.level -= amount
-            self._getters.pop(0)
-            ev.succeed(amount)

@@ -506,9 +506,6 @@ class LockManager:
         if modes.get(resource) != LockMode.EXCL:
             modes[resource] = mode
 
-    def locks_of(self, owner: object) -> Dict[object, str]:
-        return dict(self.held.get(owner, {}))
-
     # -- failure handling -----------------------------------------------------------
     def fail_instance(self) -> Dict[object, str]:
         """The hosting system died: convert holds to retained locks.

@@ -74,9 +74,6 @@ class VsamDataset:
     def ci_for(self, key: object) -> Optional[int]:
         return self._ci_of_key.get(key)
 
-    def exists(self, key: object) -> bool:
-        return key in self._ci_of_key
-
     def _alloc_ci(self) -> int:
         if self._next_ci >= self.max_cis:
             raise RuntimeError(f"dataset {self.name} is full")
@@ -116,28 +113,6 @@ class VsamDataset:
         bisect.insort(self._sorted_keys, key)
         self.versions[key] = 0
         return target, split
-
-    def remove_record(self, key: object) -> int:
-        ci = self._ci_of_key.pop(key)
-        self._ci_members[ci].discard(key)
-        i = bisect.bisect_left(self._sorted_keys, key)
-        if i < len(self._sorted_keys) and self._sorted_keys[i] == key:
-            del self._sorted_keys[i]
-        self.versions.pop(key, None)
-        return ci
-
-    def keys_in_range(self, lo, hi) -> List[object]:
-        i = bisect.bisect_left(self._sorted_keys, lo)
-        j = bisect.bisect_right(self._sorted_keys, hi)
-        return list(self._sorted_keys[i:j])
-
-    @property
-    def n_records(self) -> int:
-        return len(self._ci_of_key)
-
-    @property
-    def n_cis(self) -> int:
-        return self._next_ci
 
 
 class VsamCatalog:
@@ -234,33 +209,6 @@ class VsamRls:
         self.buffers.mark_dirty(ds.page_of(ci))
         self.log.log_update(owner, ds.page_of(ci))
         return ("insert", ci)
-
-    def erase(self, txn_id: object, ds_name: str, key: object) -> Generator:
-        """Delete a record; returns True if it existed."""
-        ds = self.catalog.lookup(ds_name)
-        ci = ds.ci_for(key)
-        if ci is None:
-            yield from self.node.cpu.consume(RLS_REQUEST_CPU)
-            return False
-        owner = self._owner(txn_id)
-        yield from self._touch(ds, key, ci, LockMode.EXCL, owner)
-        ds.remove_record(key)
-        self.buffers.mark_dirty(ds.page_of(ci))
-        self.log.log_update(owner, ds.page_of(ci))
-        return True
-
-    def read_range(self, txn_id: object, ds_name: str, lo, hi) -> Generator:
-        """Keyed browse: SHR-lock and read every record in [lo, hi]."""
-        ds = self.catalog.lookup(ds_name)
-        owner = self._owner(txn_id)
-        out = []
-        for key in ds.keys_in_range(lo, hi):
-            ci = ds.ci_for(key)
-            if ci is None:
-                continue
-            yield from self._touch(ds, key, ci, LockMode.SHR, owner)
-            out.append((key, ds.versions.get(key)))
-        return out
 
     # -- transaction boundaries --------------------------------------------------
     def commit(self, txn_id: object) -> Generator:

@@ -12,8 +12,7 @@ hard-wired to a specific application instance.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
-
+from typing import Dict, Generator, List
 
 from ..cf.list import ListEntry
 from ..mvs.wlm import WorkloadManager
@@ -63,27 +62,6 @@ class GenericResources:
         self.sessions[user] = (target.name, entry.entry_id)
         self.binds += 1
         return target
-
-    def logoff(self, user: object, entry_node=None) -> Generator:
-        """Process step: drop a session binding."""
-        session = self.sessions.pop(user, None)
-        if session is None:
-            return
-        _sys, entry_id = session
-        live = [n for n in self.nodes if n.alive]
-        if not live:
-            return
-        node = entry_node if entry_node is not None and entry_node.alive else live[0]
-        xes = self.connections[node.name]
-        st, conn = xes.structure, xes.connector
-        yield from xes.sync(
-            lambda: st.delete(conn, self.affinity_header, entry_id),
-            mirror=lambda s, c: s.delete(c, self.affinity_header, entry_id),
-        )
-
-    def system_of(self, user: object) -> Optional[str]:
-        session = self.sessions.get(user)
-        return session[0] if session else None
 
     def rebind_orphans(self, failed_name: str) -> List[object]:
         """Sessions bound to a failed system: they re-logon elsewhere

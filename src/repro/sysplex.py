@@ -2,7 +2,7 @@
 
 ``Sysplex(config)`` constructs the full stack — sysplex timer, shared
 DASD, couple data sets, coupling facilities with lock/cache/list
-structures, per-system MVS services (XCF, heartbeat/SFM, WLM, ARM, XES)
+structures, per-system MVS services (heartbeat/SFM, WLM, ARM, XES)
 and per-system subsystems (IRLM-like lock manager, buffer manager, log
 manager, database manager, transaction manager) — and connects the
 failure/recovery plumbing so that killing a :class:`SystemNode` exercises
@@ -25,7 +25,7 @@ from .cf.lock import LockStructure
 from .config import SysplexConfig
 from .hardware.dasd import DasdDevice, DasdFarm
 from .hardware.failures import FailureInjector
-from .hardware.links import LinkSet, MessageFabric
+from .hardware.links import LinkSet
 from .hardware.system import SystemNode
 from .hardware.timer import SysplexTimer
 from .metrics import RunResult
@@ -33,7 +33,6 @@ from .mvs.arm import AutomaticRestartManager
 from .mvs.cds import CoupleDataSet
 from .mvs.heartbeat import SysplexMonitor
 from .mvs.wlm import WorkloadManager
-from .mvs.xcf import XcfGroupServices
 from .mvs.xes import XesServices
 from .simkernel import MetricSet, RandomStreams, Simulator
 from .subsystems.buffermgr import BufferManager, CastoutEngine
@@ -103,7 +102,6 @@ class Sysplex:
 
         # --- hardware -----------------------------------------------------
         self.timer = SysplexTimer(self.sim, sync_interval=1.0)
-        self.fabric = MessageFabric(self.sim, config.xcf)
         farm_rng = self.streams.stream("dasd")
         self.farm = DasdFarm(self.sim, config.dasd, farm_rng,
                              n_devices=config.n_dasd)
@@ -163,9 +161,8 @@ class Sysplex:
                     )
 
         # --- sysplex-wide services --------------------------------------------
-        self.xcf = XcfGroupServices(self.sim, self.fabric)
         self.monitoring = monitoring
-        self.monitor = SysplexMonitor(self.sim, config.xcf, self.cds, self.xcf)
+        self.monitor = SysplexMonitor(self.sim, config.xcf, self.cds)
         self.wlm = WorkloadManager(self.sim, config.wlm,
                                    self.streams.stream("wlm"))
         self.lock_space = LockSpace(self.sim)

@@ -70,10 +70,6 @@ class Span:
         self.parent = parent  # index into Tracer.spans, -1 for roots
         self.depth = depth
 
-    @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Span {self.category} [{self.start:.6f}, "
@@ -194,17 +190,6 @@ class Tracer:
                 if self.spans[idx].end is None:
                     self.spans[idx].end = self.sim.now
         self._ctx.pop(process, None)
-
-    # -- introspection ------------------------------------------------------
-    @property
-    def n_spans(self) -> int:
-        return len(self.spans)
-
-    def spans_of(self, txn_id: Any) -> List[Span]:
-        return [s for s in self.spans if s.txn_id == txn_id]
-
-    def open_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.end is None]
 
 
 def traced(tr: Optional[Tracer], category: str,

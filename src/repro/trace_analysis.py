@@ -36,7 +36,6 @@ __all__ = [
     "attribute",
     "attribution_extras",
     "attribution_delta",
-    "format_attribution",
     "CATEGORIES",
 ]
 
@@ -182,29 +181,3 @@ def attribution_delta(base_extras: Dict[str, float],
     if out:
         out["total"] = sum(v for k, v in out.items() if k != "total")
     return out
-
-
-def format_attribution(a: Attribution, label: str = "") -> str:
-    """Render one attribution as a fixed-width table (benchmark output)."""
-    lines = [
-        f"overhead attribution{' — ' + label if label else ''} "
-        f"({a.n_txns} txns, rt mean {1e6 * a.response_mean:.1f} us)",
-        f"{'category':<12s} {'us/txn':>10s} {'% of rt':>8s}",
-    ]
-    for c in CATEGORIES:
-        lines.append(
-            f"{c:<12s} {1e6 * a.per_txn[c]:>10.1f} {a.pct[c]:>7.1f}%"
-        )
-    lines.append(
-        f"{'  (cpu)':<12s} {1e6 * a.cpu_per_txn:>10.1f}"
-        f" {'':>8s}  (inside 'other')"
-    )
-    lines.append(
-        f"{'  (residual)':<12s} {1e6 * a.residual_per_txn:>10.1f}"
-        f" {'':>8s}  (inside 'other')"
-    )
-    lines.append(
-        f"{'cf ops/txn':<12s} {a.cf_ops_per_txn:>10.2f}"
-        f"   ({1e6 * a.detail_per_txn.get('cf.sync', 0.0):.1f} us sync)"
-    )
-    return "\n".join(lines)

@@ -3,7 +3,7 @@ demand-fluctuation traces (paper §2.3, §4)."""
 
 from .dss import Query, QuerySplitter
 from .oltp import OltpGenerator, PageSampler, Transaction
-from .traces import DemandTrace, flat_trace, rotating_hotspot_trace, spike_trace
+from .traces import DemandTrace, rotating_hotspot_trace
 
 __all__ = [
     "DemandTrace",
@@ -12,7 +12,5 @@ __all__ = [
     "Query",
     "QuerySplitter",
     "Transaction",
-    "flat_trace",
     "rotating_hotspot_trace",
-    "spike_trace",
 ]

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
-__all__ = ["DemandTrace", "flat_trace", "spike_trace", "rotating_hotspot_trace"]
+__all__ = ["DemandTrace", "rotating_hotspot_trace"]
 
 
 class DemandTrace:
@@ -40,34 +38,6 @@ class DemandTrace:
 
     def peak(self) -> float:
         return max(max(row) for row in self.multipliers) if self.multipliers else 1.0
-
-    @property
-    def duration(self) -> float:
-        return len(self.multipliers) * self.step
-
-
-def flat_trace(n_streams: int, duration: float) -> DemandTrace:
-    """Uniform, steady demand."""
-    return DemandTrace(n_streams, duration, [[1.0] * n_streams])
-
-
-def spike_trace(n_streams: int, step: float, n_steps: int,
-                spike_factor: float = 3.0, base: float = 0.6,
-                rng: np.random.Generator | None = None) -> DemandTrace:
-    """One random stream spikes each step while the others idle down.
-
-    Total offered load is held constant across steps so architectures are
-    compared at equal aggregate demand.
-    """
-    rng = rng or np.random.default_rng(0)
-    rows: List[List[float]] = []
-    for _ in range(n_steps):
-        hot = int(rng.integers(n_streams))
-        row = [base] * n_streams
-        row[hot] = spike_factor
-        total = sum(row)
-        rows.append([v * n_streams / total for v in row])
-    return DemandTrace(n_streams, step, rows)
 
 
 def rotating_hotspot_trace(n_streams: int, step: float, n_steps: int,

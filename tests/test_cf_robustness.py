@@ -115,22 +115,27 @@ def test_exhausted_retry_budget_raises_timeout():
     cf = plex.cfs[0]
     errors = []
 
+    calls = []
+
     def blocker():
-        yield from cf.execute(1.0)  # congested for the whole test
+        yield from cf.execute(1.0)  # congested until t=1.0
 
     def work():
         try:
-            yield from port.sync(lambda: "ok")
+            yield from port.sync(lambda: calls.append(plex.sim.now))
         except CfRequestTimeout as exc:
             errors.append(exc)
 
     plex.sim.process(blocker())
     plex.sim.process(blocker())
     plex.sim.process(work())
-    plex.sim.run(until=1.0)
+    plex.sim.run(until=2.0)
 
     assert len(errors) == 1
     assert port.timeouts == 3  # initial attempt + 2 redrives
+    # the abandoned attempts reach the CF once it frees up, after the
+    # requester gave up: none of them may apply the mutation
+    assert calls == []
 
 
 def test_all_links_down_raises_link_error_on_robust_path():
@@ -191,7 +196,8 @@ def test_transactions_survive_link_loss_under_robustness():
     plex, _ = build_loaded_sysplex(
         robust_cfg(), options=RunOptions(terminals_per_system=3))
     inst = plex.instances["SYS00"]
-    plex.injector.fail_link(inst.node.cf_links["CF01"], at=0.3, index=0)
+    links = inst.node.cf_links["CF01"]
+    plex.injector.at(0.3, f"link-fail:{links.name}.0", lambda: links.fail_link(0))
     plex.sim.run(until=1.0)
     assert inst.tm.completed > 0
     assert plex.metrics.counter("txn.failed").count == 0

@@ -135,7 +135,8 @@ def test_outcomes_recorded_after_run():
 def test_chaos_events_share_injector_timeline():
     plex = quiet_plex(small_cfg(seed=5))
     inst = plex.instances["SYS00"]
-    plex.injector.fail_link(inst.node.cf_links["CF01"], at=0.1, index=0)
+    links = inst.node.cf_links["CF01"]
+    plex.injector.at(0.1, f"link-fail:{links.name}.0", lambda: links.fail_link(0))
     eng = ChaosEngine(plex, FULL_CHAOS)
     eng.arm()
     plex.sim.run(until=1.0)

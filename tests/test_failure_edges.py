@@ -176,7 +176,7 @@ def test_contributor_crash_mid_rebuild_does_not_hang_recovery():
     plex, gen = build_loaded_sysplex(
         small_cfg(3, n_cfs=2), options=RunOptions(terminals_per_system=0))
     victim = plex.nodes[2]
-    plex.injector.fail_cf(plex.cfs[0], at=0.5)
+    plex.injector.at(0.5, "cf-fail:CF01", plex.cfs[0].fail)
     # prewarmed buffer pools make the cache contribution ~1ms of CF
     # service, so +0.5ms lands mid-rebuild with contributions in flight
     plex.injector.crash_system(victim, at=0.5005)
@@ -200,13 +200,14 @@ def test_contributor_link_loss_mid_rebuild_is_recorded():
     plex, gen = build_loaded_sysplex(
         small_cfg(3, n_cfs=2), options=RunOptions(terminals_per_system=0))
     victim = plex.nodes[2]
-    plex.injector.fail_cf(plex.cfs[0], at=0.5)
+    plex.injector.at(0.5, "cf-fail:CF01", plex.cfs[0].fail)
     # sever the victim's path to the rebuild target while its ~1ms cache
     # contribution is in flight: the command dies with an interface
     # control check
     links = victim.cf_links[plex.cfs[1].name]
     for i in range(len(links.links)):
-        plex.injector.fail_link(links, at=0.5005, index=i)
+        plex.injector.at(0.5005, f"link-fail:{links.name}.{i}",
+                         lambda i=i: links.fail_link(i))
     plex.sim.run(until=2.0)
     assert plex.metrics.counter("cf.rebuilds").count == 1
     rows = plex.xes.contributor_failures
@@ -226,11 +227,11 @@ def test_dasd_path_repair_races_peer_recovery():
     victim = plex.instances["SYS02"]
     log_dev = victim.db.log.device
     # degrade the log device before the crash, repair mid-recovery
-    plex.injector.fail_dasd_path(log_dev, at=0.4)
-    plex.injector.fail_dasd_path(log_dev, at=0.45)
+    plex.injector.at(0.4, f"path-fail:{log_dev.name}", log_dev.fail_path)
+    plex.injector.at(0.45, f"path-fail:{log_dev.name}", log_dev.fail_path)
     plex.injector.crash_system(victim.node, at=0.5)
-    plex.injector.repair_dasd_path(log_dev, at=1.3)
-    plex.injector.repair_dasd_path(log_dev, at=1.5)
+    plex.injector.at(1.3, f"path-repair:{log_dev.name}", log_dev.repair_path)
+    plex.injector.at(1.5, f"path-repair:{log_dev.name}", log_dev.repair_path)
     plex.injector.restart_system(victim.node, at=3.0)
     done_mid = None
 

@@ -106,7 +106,7 @@ def test_utilization_accounting():
     sim.process(work())
     sim.run(until=10)
     # one engine busy 5s of 10s over 2 engines = 0.25
-    assert cpu.utilization() == pytest.approx(0.25, rel=1e-6)
+    assert cpu.engines.utilization() == pytest.approx(0.25, rel=1e-6)
 
 
 def test_busy_seconds_tracks_burn():

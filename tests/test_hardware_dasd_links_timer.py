@@ -1,17 +1,15 @@
-"""Tests for DASD, coupling links, message fabric, sysplex timer, failures."""
+"""Tests for DASD, coupling links, sysplex timer, failures."""
 
 import numpy as np
 import pytest
 
-from repro.config import CpuConfig, DasdConfig, LinkConfig, XcfConfig
+from repro.config import DasdConfig, LinkConfig
 from repro.hardware import (
-    CpuComplex,
     DasdDevice,
     DasdFarm,
     FailureInjector,
     LinkDownError,
     LinkSet,
-    MessageFabric,
     SysplexTimer,
     SystemNode,
 )
@@ -189,57 +187,6 @@ def test_link_bandwidth_affects_transfer():
     slow = LinkConfig(bandwidth=50e6)
     fast = LinkConfig(bandwidth=100e6)
     assert slow.transfer_time(4096) == pytest.approx(2 * fast.transfer_time(4096))
-
-
-# ------------------------------------------------------------- message fabric
-def _make_cpu(sim):
-    return CpuComplex(sim, CpuConfig(n_cpus=1))
-
-
-def test_fabric_delivers_with_latency_and_cpu():
-    sim = Simulator()
-    xcfg = XcfConfig(message_latency=400e-6, message_cpu=60e-6)
-    fab = MessageFabric(sim, xcfg)
-    cpu_a, cpu_b = _make_cpu(sim), _make_cpu(sim)
-    fab.register("A", cpu_a)
-    inbox_b = fab.register("B", cpu_b)
-    got = []
-
-    def receiver():
-        msg = yield inbox_b.get()
-        got.append((sim.now, msg.kind, msg.sender))
-
-    sim.process(receiver())
-    fab.send("A", "B", "ping", {})
-    sim.run()
-    when, kind, sender = got[0]
-    assert kind == "ping" and sender == "A"
-    assert when == pytest.approx(400e-6 + 2 * 60e-6)
-    assert fab.delivered == 1
-
-
-def test_fabric_drops_to_deregistered():
-    sim = Simulator()
-    fab = MessageFabric(sim, XcfConfig())
-    cpu = _make_cpu(sim)
-    fab.register("A", cpu)
-    fab.register("B", cpu)
-    fab.deregister("B")
-    fab.send("A", "B", "ping", {})
-    sim.run()
-    assert fab.delivered == 0
-
-
-def test_fabric_broadcast_excludes_sender():
-    sim = Simulator()
-    fab = MessageFabric(sim, XcfConfig())
-    cpu = _make_cpu(sim)
-    for n in ("A", "B", "C"):
-        fab.register(n, cpu)
-    n = fab.broadcast("A", "note", {})
-    assert n == 2
-    sim.run()
-    assert fab.delivered == 2
 
 
 # ----------------------------------------------------------------- timer ----

@@ -11,13 +11,12 @@ from repro.config import (
     WlmConfig,
     XcfConfig,
 )
-from repro.hardware import DasdDevice, MessageFabric, SystemNode
+from repro.hardware import DasdDevice, SystemNode
 from repro.mvs import (
     AutomaticRestartManager,
     CoupleDataSet,
     SysplexMonitor,
     WorkloadManager,
-    XcfGroupServices,
 )
 from repro.simkernel import Simulator
 
@@ -30,26 +29,23 @@ def make_monitor(n=3):
         DasdDevice(sim, DasdConfig(), rng, "cds1"),
         DasdDevice(sim, DasdConfig(), rng, "cds2"),
     )
-    fabric = MessageFabric(sim, XcfConfig())
-    xcf = XcfGroupServices(sim, fabric)
-    cfg = XcfConfig()
-    mon = SysplexMonitor(sim, cfg, cds, xcf)
+    mon = SysplexMonitor(sim, XcfConfig(), cds)
     nodes = [SystemNode(sim, SysplexConfig(), index=i) for i in range(n)]
     for node in nodes:
         mon.add_system(node)
-    return sim, mon, xcf, nodes, cds
+    return sim, mon, nodes, cds
 
 
 # ----------------------------------------------------------- heartbeat ----
 def test_healthy_systems_stay_in_sysplex():
-    sim, mon, xcf, nodes, cds = make_monitor()
+    sim, mon, nodes, cds = make_monitor()
     sim.run(until=5)
     assert mon.detections == 0
     assert all(mon.in_sysplex[n.name] for n in nodes)
 
 
 def test_failed_system_detected_and_partitioned():
-    sim, mon, xcf, nodes, cds = make_monitor()
+    sim, mon, nodes, cds = make_monitor()
     partitioned = []
     mon.on_partition(lambda node: partitioned.append((sim.now, node.name)))
 
@@ -68,23 +64,8 @@ def test_failed_system_detected_and_partitioned():
     assert mon.in_sysplex["SYS01"] is False
 
 
-def test_partition_fails_xcf_members():
-    sim, mon, xcf, nodes, cds = make_monitor()
-    events = []
-    xcf.join("G", "A", nodes[0], on_event=lambda e, m: events.append((e, m.name)))
-    xcf.join("G", "B", nodes[1])
-
-    def killer():
-        yield sim.timeout(2.0)
-        nodes[1].fail()
-
-    sim.process(killer())
-    sim.run(until=10)
-    assert ("failed", "B") in events
-
-
 def test_restarted_system_rejoins():
-    sim, mon, xcf, nodes, cds = make_monitor()
+    sim, mon, nodes, cds = make_monitor()
     rejoined = []
     mon.on_rejoin(lambda node: rejoined.append(node.name))
 
@@ -102,13 +83,17 @@ def test_restarted_system_rejoins():
 
 
 def test_planned_removal_uses_leave_not_failure():
-    sim, mon, xcf, nodes, cds = make_monitor()
-    events = []
-    xcf.join("G", "A", nodes[0], on_event=lambda e, m: events.append((e, m.name)))
-    xcf.join("G", "B", nodes[1])
+    sim, mon, nodes, cds = make_monitor()
+    partitioned = []
+    mon.on_partition(lambda node: partitioned.append(node.name))
+    # the operator's VARY OFFLINE order: leave the sysplex, then stop
     mon.remove_planned(nodes[1])
-    assert ("leave", "B") in events
-    assert ("failed", "B") not in events
+    nodes[1].fail()
+    sim.run(until=10)
+    assert mon.in_sysplex["SYS01"] is False
+    assert mon.detections == 0
+    assert partitioned == []
+    assert not nodes[1].fenced
 
 
 # ------------------------------------------------------------------ WLM ----

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.simkernel import Resource, Simulator, Store, zipf_weights
+from repro.simkernel import Resource, Simulator, zipf_weights
 
 
 @given(
@@ -53,29 +53,6 @@ def test_events_processed_in_time_order(delays):
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
-
-
-@given(st.lists(st.integers(0, 1000), max_size=40))
-@settings(max_examples=80, deadline=None)
-def test_store_is_fifo_and_lossless(items):
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for x in items:
-            store.put(x)
-            yield sim.timeout(0.1)
-
-    def consumer():
-        for _ in items:
-            v = yield store.get()
-            got.append(v)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == list(items)
 
 
 @given(st.integers(1, 5000), st.floats(0, 2))

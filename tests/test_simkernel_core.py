@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import Interrupt, SimulationError, Simulator
+from repro.simkernel import SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -172,61 +172,6 @@ def test_exception_propagates_to_waiting_parent():
     sim.process(parent())
     sim.run()
     assert caught == ["child failed"]
-
-
-def test_interrupt_resumes_waiting_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100)
-        except Interrupt as i:
-            log.append((sim.now, i.cause))
-
-    def interrupter(victim):
-        yield sim.timeout(3)
-        victim.interrupt("wake up")
-
-    v = sim.process(sleeper())
-    sim.process(interrupter(v))
-    sim.run()
-    assert log == [(3, "wake up")]
-
-
-def test_interrupt_after_completion_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    p = sim.process(quick())
-    sim.run(until=2)
-    p.interrupt("late")  # must not raise
-    sim.run()
-
-
-def test_interrupted_process_stops_receiving_original_event():
-    """After an interrupt, the original timeout firing must not re-resume."""
-    sim = Simulator()
-    resumed = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(10)
-            resumed.append("timeout")
-        except Interrupt:
-            resumed.append("interrupt")
-            yield sim.timeout(100)  # keep living past t=10
-
-    def interrupter(victim):
-        yield sim.timeout(5)
-        victim.interrupt()
-
-    v = sim.process(sleeper())
-    sim.process(interrupter(v))
-    sim.run(until=50)
-    assert resumed == ["interrupt"]
 
 
 def test_manual_event_succeed():

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store and Container primitives."""
+"""Unit tests for the Resource primitive and its Request claims."""
 
 import pytest
 
-from repro.simkernel import Interrupt, Resource, Simulator, Store, Container
+from repro.simkernel import Resource, Simulator
 
 
 def test_resource_grants_up_to_capacity():
@@ -125,13 +125,13 @@ def test_cancel_waiting_request_skips_grant():
             yield sim.timeout(10)
 
     def impatient():
+        # waits at most 4 time units for the unit, then withdraws
         yield sim.timeout(1)
         req = res.request()
-        try:
-            yield req
-        except Interrupt:
+        yield sim.any_of([req, sim.timeout(4)])
+        if not req.triggered:
             req.cancel()
-            order.append("gave-up")
+            order.append(("gave-up", sim.now))
 
     def patient():
         yield sim.timeout(2)
@@ -140,16 +140,13 @@ def test_cancel_waiting_request_skips_grant():
             order.append(("patient", sim.now))
 
     sim.process(holder())
-    p = sim.process(impatient())
+    sim.process(impatient())
     sim.process(patient())
-
-    def killer():
-        yield sim.timeout(5)
-        p.interrupt()
-
-    sim.process(killer())
     sim.run()
-    assert order == ["gave-up", ("patient", 10)]
+    # the withdrawn request is never granted: the unit passes straight
+    # to the next waiter when the holder releases it
+    assert order == [("gave-up", 5), ("patient", 10)]
+    assert res.in_use == 0
 
 
 def test_resource_utilization_tracking():
@@ -170,114 +167,6 @@ def test_resource_bad_capacity():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append(item)
-
-    store.put("msg")
-    sim.process(consumer())
-    sim.run()
-    assert got == ["msg"]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    def producer():
-        yield sim.timeout(3)
-        store.put("late")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [(3, "late")]
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    for x in (1, 2, 3):
-        store.put(x)
-    sim.process(consumer())
-    sim.run()
-    assert got == [1, 2, 3]
-
-
-def test_store_multiple_waiters_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    sim.process(consumer("first"))
-    sim.process(consumer("second"))
-
-    def producer():
-        yield sim.timeout(1)
-        store.put("a")
-        store.put("b")
-
-    sim.process(producer())
-    sim.run()
-    assert got == [("first", "a"), ("second", "b")]
-
-
-def test_container_get_blocks_until_level():
-    sim = Simulator()
-    tank = Container(sim, init=1)
-    got = []
-
-    def consumer():
-        yield tank.get(3)
-        got.append(sim.now)
-
-    def producer():
-        yield sim.timeout(2)
-        tank.put(2)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [2]
-    assert tank.level == 0
-
-
-def test_container_rejects_bad_init():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, init=-1)
-    with pytest.raises(ValueError):
-        Container(sim, init=5, capacity=2)
-
-
-def test_container_capacity_clamps_put():
-    sim = Simulator()
-    tank = Container(sim, init=0, capacity=10)
-    tank.put(25)
-    assert tank.level == 10
 
 
 # ------------------------------------------------------- scalar claims ----

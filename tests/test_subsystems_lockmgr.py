@@ -86,7 +86,7 @@ def test_unlock_all_batches_one_command(miniplex):
         ops_before = mgr.xes.port.sync_ops
         yield from mgr.unlock_all(owner)
         assert mgr.xes.port.sync_ops == ops_before + 1  # one batched sweep
-        assert mgr.locks_of(owner) == {}
+        assert owner not in mgr.held
 
     mp.run(work())
 

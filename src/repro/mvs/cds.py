@@ -17,11 +17,7 @@ from typing import Any, Dict, Optional
 from ..hardware.dasd import DasdDevice
 from ..simkernel import Simulator
 
-__all__ = ["CoupleDataSet", "CdsUnavailableError"]
-
-
-class CdsUnavailableError(Exception):
-    """Raised when no couple data set copy is usable."""
+__all__ = ["CoupleDataSet"]
 
 
 class CoupleDataSet:
@@ -49,7 +45,7 @@ class CoupleDataSet:
         Acquires the primary device reserve, writes primary and alternate,
         releases.  ``holder`` identifies the system for timeout logic.
         """
-        dev = self._require_primary()
+        dev = self.primary
         ev = dev.reserve(holder)
         yield ev
         self._reserve_taken_at[holder] = self.sim.now
@@ -65,15 +61,13 @@ class CoupleDataSet:
 
     def read(self, key: str):
         """Process step: read one key (I/O against the primary)."""
-        dev = self._require_primary()
-        yield from dev.io()
+        yield from self.primary.io()
         self.reads += 1
         return self._data.get(key)
 
     def read_all(self):
         """Process step: scan the whole repository (status-table sweep)."""
-        dev = self._require_primary()
-        yield from dev.io()
+        yield from self.primary.io()
         self.reads += 1
         return dict(self._data)
 
@@ -81,8 +75,6 @@ class CoupleDataSet:
     def break_stale_reserves(self) -> int:
         """Timeout logic: free reserves held longer than the threshold
         (their holder is presumed failed).  Returns how many were broken."""
-        if self.primary is None:
-            return 0
         broken = 0
         now = self.sim.now
         holder = self.primary.reserved_by
@@ -96,11 +88,5 @@ class CoupleDataSet:
 
     def break_reserve_of(self, holder: object) -> None:
         """Fencing support: release any reserve held by a failed system."""
-        if self.primary is not None:
-            self.primary.break_reserve(holder)
+        self.primary.break_reserve(holder)
         self._reserve_taken_at.pop(holder, None)
-
-    def _require_primary(self) -> DasdDevice:
-        if self.primary is None:
-            raise CdsUnavailableError("no primary couple data set")
-        return self.primary

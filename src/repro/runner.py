@@ -95,12 +95,13 @@ def run_oltp(config: SysplexConfig,
     """
     opts = options if options is not None else RunOptions()
     plex, _gen = build_loaded_sysplex(config, options=opts, trace=trace)
-    # The event loop allocates millions of short-lived cyclic objects
-    # (process <-> generator frame <-> event); letting the cycle collector
-    # run mid-simulation costs ~10% of wall time and can never free much,
-    # since the calendar keeps everything reachable.  Suspend it for the
-    # run and let the backlog collect afterwards.  No simulation state is
-    # affected, so results are unchanged.
+    # Pause the cycle collector for the run.  Spent requests and
+    # processes die by reference count, so a collection mid-run frees
+    # nothing, but each one still traverses the objects it tracks: left
+    # on, the 16-system perfbench point ran about 120 collections that
+    # took 3.6 % of its host time, and its simulated transactions per
+    # host second fell 4.4 % (EXPERIMENTS.md PERF-9).  No simulation
+    # state is affected, so results are unchanged.
     was_enabled = gc.isenabled()
     if was_enabled:
         gc.disable()

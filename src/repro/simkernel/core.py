@@ -128,15 +128,6 @@ class Event:
         self._defused = True
         return self
 
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._state = _PROCESSED
-        for cb in callbacks:
-            cb(self)
-        if not self._ok and not self._defused:
-            # Nobody waited for (or defused) a failed event: surface the error.
-            raise self._value
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} state={self._state} at {id(self):#x}>"
 
@@ -178,7 +169,10 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         #: the bound resume callback, allocated once instead of on every
-        #: suspension (callbacks.append(self._resume) re-binds each time)
+        #: suspension (callbacks.append(self._resume) re-binds each time).
+        #: It refers back to the process, so ``_resume`` drops it on every
+        #: exit of the generator: a finished process then dies by
+        #: reference count instead of waiting for the cycle collector.
         self._cb = self._resume
         if sim._process_watchers:
             for fn in sim._process_watchers:
@@ -208,6 +202,7 @@ class Process(Event):
                     target = gen.throw(event._value)
             except StopIteration as exc:
                 sim._active_process = None
+                self._cb = None
                 if self._state == _PENDING:
                     if sim._elide_done and not self.callbacks:
                         # collapse mode, nobody waiting: the terminal event
@@ -225,6 +220,7 @@ class Process(Event):
                 return
             except BaseException as exc:
                 sim._active_process = None
+                self._cb = None
                 if self._state == _PENDING:
                     self.fail(exc, priority=URGENT)
                     if sim._process_watchers:
@@ -250,6 +246,7 @@ class Process(Event):
                 f"process {self.name!r} yielded non-event {target!r}"
             )
             sim._active_process = None
+            self._cb = None
             try:
                 gen.throw(err)
             except StopIteration:
@@ -422,13 +419,6 @@ class Simulator:
         self.call_at(self._now + delay, fn)
 
     # -- execution -------------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event.  Raises IndexError when empty."""
-        when, _prio, _seq, event = heappop(self._queue)
-        self._now = when
-        self.events_processed += 1
-        event._run_callbacks()
-
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         return self._queue[0][0] if self._queue else float("inf")
@@ -456,10 +446,11 @@ class Simulator:
             if horizon < self._now:
                 raise ValueError("cannot run into the past")
 
-        # The event loop proper.  This is `step()` inlined — pop, advance
-        # the clock, run callbacks — with the calendar bound to locals: two
-        # fewer Python frames and ~6 fewer attribute loads per event, which
-        # is the bulk of the kernel's per-event cost.
+        # The event loop proper, and the only place events are processed:
+        # pop, advance the clock, run callbacks.  The calendar is bound to
+        # locals and the per-event work is written out inline, with no
+        # helper frame and no per-event attribute stores on ``self`` —
+        # the bulk of the kernel's per-event cost.
         count = 0
         queue = self._queue
         pop = heappop
@@ -475,7 +466,7 @@ class Simulator:
                     cb(event)
                 if not event._ok and not event._defused:
                     # Nobody waited for (or defused) this failed event:
-                    # surface the error (see Event._run_callbacks).
+                    # surface the error.
                     raise event._value
         except StopSimulation:
             val = stop_value[0]

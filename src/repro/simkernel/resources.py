@@ -22,6 +22,10 @@ __all__ = ["Resource", "Request"]
 class Request(Event):
     """A pending or granted claim on a :class:`Resource`.
 
+    A granted request's value is ``None``: the grant carries no data, and
+    a request that held itself as its value would be a reference cycle
+    that only the cycle collector could free once it is cancelled.
+
     Usable as a context manager::
 
         with resource.request() as req:
@@ -102,7 +106,11 @@ class Resource:
 
     # -- protocol --------------------------------------------------------------
     def request(self, priority: int = NORMAL) -> Request:
-        """Claim one unit.  Yield the returned event to wait for the grant."""
+        """Claim one unit.  Yield the returned event to wait for the grant.
+
+        The grant's value is ``None``; hold on to the returned request to
+        release it.
+        """
         req = Request(self, priority)
         users = self.users
         if len(users) + self._held < self.capacity and not self._waiters:
@@ -113,7 +121,6 @@ class Resource:
             self._busy_area += (len(users) + self._held) * (now - self._last_change)
             self._last_change = now
             users.add(req)
-            req._value = req
             req._state = _TRIGGERED
             sim._seq = seq = sim._seq + 1
             heappush(sim._queue, (now, NORMAL, seq, req))
@@ -170,7 +177,7 @@ class Resource:
     def _grant(self, req: Request) -> None:
         self._account()
         self.users.add(req)
-        req.succeed(req)
+        req.succeed()
 
     def _dispatch(self) -> None:
         while self._waiters and len(self.users) + self._held < self.capacity:

@@ -364,6 +364,10 @@ class LockManager:
             yield waiter.event
         except DeadlockAbort:
             self.space.remove_waiter(resource, waiter)
+            # the abort's traceback holds this frame and the waiter's
+            # event holds the abort: drop the frame's waiter so the
+            # aborted wait is freed by reference count, not as a cycle
+            del waiter
             raise
         finally:
             if tr is not None:
@@ -562,32 +566,38 @@ class DeadlockDetector:
 
     @staticmethod
     def _find_cycle(graph: Dict[object, Set[object]]) -> Optional[List[object]]:
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: Dict[object, int] = {}
+        # a node absent from ``on_stack`` is unvisited; True while it is
+        # on the DFS stack, False once its subtree is finished
+        on_stack: Dict[object, bool] = {}
         stack: List[object] = []
-
-        def dfs(u) -> Optional[List[object]]:
-            color[u] = GRAY
-            stack.append(u)
-            # sorted: edge sets iterate in hash order, which varies with
-            # PYTHONHASHSEED across interpreter invocations — the cycle
-            # (and so the victim) must not depend on it
-            for v in sorted(graph.get(u, ()), key=repr):
-                if color.get(v, WHITE) == GRAY:
-                    return stack[stack.index(v):]
-                if color.get(v, WHITE) == WHITE and v in graph:
-                    found = dfs(v)
-                    if found:
-                        return found
-            stack.pop()
-            color[u] = BLACK
-            return None
-
         for node in graph:
-            if color.get(node, WHITE) == WHITE:
-                found = dfs(node)
+            if node not in on_stack:
+                found = DeadlockDetector._dfs(graph, node, on_stack, stack)
                 if found:
                     return found
+        return None
+
+    @staticmethod
+    def _dfs(graph: Dict[object, Set[object]], u: object,
+             on_stack: Dict[object, bool],
+             stack: List[object]) -> Optional[List[object]]:
+        # a static method, not a closure inside _find_cycle: a recursive
+        # closure refers to itself through its cell, so every sweep would
+        # leave the whole wait graph behind as a reference cycle
+        on_stack[u] = True
+        stack.append(u)
+        # sorted: edge sets iterate in hash order, which varies with
+        # PYTHONHASHSEED across interpreter invocations — the cycle
+        # (and so the victim) must not depend on it
+        for v in sorted(graph.get(u, ()), key=repr):
+            if on_stack.get(v):
+                return stack[stack.index(v):]
+            if v not in on_stack and v in graph:
+                found = DeadlockDetector._dfs(graph, v, on_stack, stack)
+                if found:
+                    return found
+        stack.pop()
+        on_stack[u] = False
         return None
 
     def _pick_victim(self, cycle: List[object]):

@@ -57,7 +57,7 @@ class _MessageLockPort(_LocalXes):
         super().__init__(node)
         self.cluster = cluster
 
-    def sync(self, fn, **kw):
+    def sync(self, op, **kw):
         # which system masters this resource is decided by the cluster;
         # the lock manager calls us once per request/release
         cost = self.cluster.lock_transport_cost(self.node)
@@ -68,7 +68,7 @@ class _MessageLockPort(_LocalXes):
             yield from self.node.cpu.consume(0.5e-6)
         else:
             yield from self.node.cpu.consume(0.5e-6)
-        return fn()
+        return op(self.structure, self.connector)
 
 
 class BroadcastCluster:

@@ -45,7 +45,7 @@ from ..hardware.links import InterfaceControlCheck, LinkDownError, LinkSet
 from ..hardware.system import SystemNode, SystemDown
 from .facility import CfFailedError, CouplingFacility
 
-__all__ = ["CfPort", "CfRequestTimeout", "mirror_sync", "mirror_async"]
+__all__ = ["CfPort", "CfRequestTimeout"]
 
 class CfRequestTimeout(Exception):
     """A CF request exhausted its timeout/retry budget without completing."""
@@ -384,43 +384,3 @@ class CfPort:
     def operational(self) -> bool:
         return (not self.cf.failed) and self.links.operational
 
-
-# -- duplexed writes ---------------------------------------------------------
-#
-# System-managed structure duplexing (paper §3.3: "Multiple CF's can be
-# connected for availability") splits every mutating command into two legs:
-# the primary leg carries the command *and* applies the mirrored mutation to
-# the secondary instance atomically (both instances observe operations in
-# the primary's execution order, so a quiesced pair always byte-agrees),
-# and the secondary leg pays the second round trip — link occupancy on the
-# path to the secondary CF plus CF processor service there.  The requester
-# therefore sees roughly double the CF command cost while duplexed, which
-# is the steady-state overhead EXP-DUPLEX sweeps against recovery time.
-
-
-def _noop() -> None:
-    return None
-
-
-def mirror_sync(port: "CfPort", out_bytes: int = 64, in_bytes: int = 64,
-                data: bool = False, signal_wait: bool = False,
-                service_factor: float = 1.0) -> Generator:
-    """The secondary leg of a duplexed synchronous write.
-
-    The structure mutation already happened (applied with the primary
-    leg); this charges the honest cost of shipping the same command to
-    the secondary CF.  Failures propagate — the caller decides whether
-    to break the pair back to simplex.
-    """
-    return port.sync(_noop, out_bytes=out_bytes, in_bytes=in_bytes,
-                     data=data, signal_wait=signal_wait,
-                     service_factor=service_factor)
-
-
-def mirror_async(port: "CfPort", out_bytes: int = 64, in_bytes: int = 64,
-                 data: bool = False, signal_wait: bool = False,
-                 service_factor: float = 1.0) -> Generator:
-    """The secondary leg of a duplexed asynchronous write."""
-    return port.async_(_noop, out_bytes=out_bytes, in_bytes=in_bytes,
-                       data=data, signal_wait=signal_wait,
-                       service_factor=service_factor)

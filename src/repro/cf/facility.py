@@ -101,9 +101,6 @@ class CouplingFacility:
         self.signals_sent += 1
         self.sim.call_at(self.sim.now + self.config.signal_latency, apply)
 
-    def utilization(self, since: float = 0.0) -> float:
-        return self.processors.utilization(since)
-
     # -- failure -----------------------------------------------------------------
     def fail(self) -> None:
         """The CF dies: every structure's connectors get a loss callback."""

@@ -54,9 +54,6 @@ class CouplingLink:
         self.operational = True
         self.ops = 0
 
-    def busy(self) -> int:
-        return self.subchannels.in_use + self.subchannels.queue_length
-
     def occupy(self, nbytes_out: int, nbytes_in: int, cf_service):
         """Process step: hold a subchannel for one command round trip.
 

@@ -3,9 +3,8 @@
 Bundles the hardware a single sysplex member owns — CPU complex, TOD
 clock, coupling links to each CF — plus the liveness state that the
 failure-injection and recovery machinery manipulates.  Software components
-(the heartbeat monitor) attach themselves via ``on_failure`` /
-``on_restart`` hooks so a single ``fail()`` call propagates exactly like a
-machine check taking down the whole image.
+(the heartbeat monitor) attach themselves via ``on_restart`` hooks so a
+single ``restart()`` call brings the whole image back.
 """
 
 from __future__ import annotations
@@ -36,28 +35,22 @@ class SystemNode:
         self.cf_links: Dict[str, LinkSet] = {}
         self.alive = True
         self.fenced = False
-        self._failure_hooks: List[Callable[["SystemNode"], None]] = []
         self._restart_hooks: List[Callable[["SystemNode"], None]] = []
         self.failed_at: Optional[float] = None
         self.restarted_at: Optional[float] = None
 
     # -- lifecycle hooks ------------------------------------------------------
-    def on_failure(self, hook: Callable[["SystemNode"], None]) -> None:
-        self._failure_hooks.append(hook)
-
     def on_restart(self, hook: Callable[["SystemNode"], None]) -> None:
         self._restart_hooks.append(hook)
 
     def fail(self) -> None:
-        """The image dies: CPU stops, links drop, hooks fire (in order)."""
+        """The image dies: its CPU stops and queued work is purged."""
         if not self.alive:
             return
         self.alive = False
         self.cpu.offline = True
         self.cpu.purge_queued()
         self.failed_at = self.sim.now
-        for hook in list(self._failure_hooks):
-            hook(self)
 
     def fence(self) -> None:
         """SFM isolation: I/O and coupling access forcibly cut off so the

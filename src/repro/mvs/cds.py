@@ -59,12 +59,6 @@ class CoupleDataSet:
             self._reserve_taken_at.pop(holder, None)
             dev.release(holder)
 
-    def read(self, key: str):
-        """Process step: read one key (I/O against the primary)."""
-        yield from self.primary.io()
-        self.reads += 1
-        return self._data.get(key)
-
     def read_all(self):
         """Process step: scan the whole repository (status-table sweep)."""
         yield from self.primary.io()

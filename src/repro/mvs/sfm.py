@@ -192,7 +192,7 @@ class SfmPolicyEngine:
             if not conn.node.alive or not conn.connector.active:
                 continue
             try:
-                yield from conn.sync(lambda: None)
+                yield from conn.sync(lambda s, c: None)
             except Exception as exc:
                 plex._degraded(
                     f"switch-handshake:{pair.name}:{type(exc).__name__}"

@@ -7,20 +7,33 @@ the availability mechanism that lets a lock or cache structure be
 re-instantiated in an alternate CF from the connectors' local state after
 a facility failure ("Multiple CF's can be connected for availability",
 §3.3).
+
+A subsystem issues every CF command as one callable,
+``op(structure, connector)``, through its connection's ``sync`` or
+``async_``.  The connection binds ``op`` to its current structure
+instance when the command is issued.  A mutating command passes
+``write=True``; on a duplexed structure XES then applies the same ``op``
+to the secondary instance too, so no exploiter knows the duplexing
+exists.  Reads run against the primary only.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Generator, List, Optional
 
 from ..config import CfConfig
-from ..cf.commands import CfPort, mirror_async, mirror_sync
+from ..cf.commands import CfPort
 from ..cf.facility import CouplingFacility
 from ..cf.structure import Connector, Structure
 from ..hardware.system import SystemDown, SystemNode
 from ..simkernel import Simulator
 
 __all__ = ["XesServices", "XesConnection", "DuplexPair", "DuplexedConnection"]
+
+
+def _noop() -> None:
+    return None
 
 
 class XesConnection:
@@ -34,16 +47,22 @@ class XesConnection:
         self.port = port
         self.connector = connector
 
-    # Convenience pass-throughs charging the command cost model.  The
-    # ``mirror`` callback is the duplexing hook: simplex connections
-    # ignore it (no secondary instance to keep in step).
-    def sync(self, fn: Callable, mirror: Optional[Callable] = None,
-             **kw) -> Generator:
-        return self.port.sync(fn, **kw)
+    # Pass-throughs charging the command cost model.  ``write`` marks a
+    # mutation, which a simplex connection has no second instance for.
+    def sync(self, op: Callable, write: bool = False, **kw) -> Generator:
+        """Process step: run ``op(structure, connector)`` at the CF
+        CPU-synchronously and return its result."""
+        return self.port.sync(self._bind(op), **kw)
 
-    def async_(self, fn: Callable, mirror: Optional[Callable] = None,
-               **kw) -> Generator:
-        return self.port.async_(fn, **kw)
+    def async_(self, op: Callable, write: bool = False, **kw) -> Generator:
+        """Process step: run ``op(structure, connector)`` at the CF
+        asynchronously and return its result."""
+        return self.port.async_(self._bind(op), **kw)
+
+    def _bind(self, op: Callable) -> Callable:
+        """``op`` bound to this connection's instance at issue time (a
+        duplex switch may rebind the connection before the next one)."""
+        return partial(op, self.structure, self.connector)
 
     def instances(self):
         """Every live ``(structure, connector)`` instance pair.
@@ -159,15 +178,20 @@ class DuplexPair:
 class DuplexedConnection(XesConnection):
     """A connection backed by a duplexed structure pair.
 
-    Mutating callers pass ``mirror`` — a ``(structure, connector) ->
-    None`` callback applying the same mutation to the secondary.  The
-    mirror runs *atomically with the primary mutation* (at primary
-    command-execution time), so both instances apply every operation in
-    the primary's execution order and a quiesced pair always
-    byte-agrees; the secondary's link + CF service cost is then paid as
-    a second round trip.  A failure on that secondary leg breaks the
-    pair to simplex — the primary result already stands, so the caller
-    never sees the break.
+    System-managed duplexing (paper §3.3: "Multiple CF's can be connected
+    for availability") splits every mutating command (``write=True``)
+    into two legs.  The primary leg carries the command and, atomically
+    with it at primary command-execution time, applies the same ``op`` to
+    the secondary instance whenever one exists by then.  Both instances
+    therefore apply every operation in the primary's execution order,
+    and a quiesced pair always byte-agrees.  The secondary leg then pays
+    the second round trip: link occupancy on the path to the secondary
+    CF plus CF processor service there.  The requester sees roughly
+    double the CF command cost while duplexed, which is the steady-state
+    overhead EXP-DUPLEX sweeps against recovery time.  A failure on the
+    secondary leg breaks the pair to simplex; the primary result already
+    stands, so the caller never sees the break.  Reads run against the
+    primary alone.
     """
 
     def __init__(self, services: "XesServices", node: SystemNode,
@@ -180,60 +204,58 @@ class DuplexedConnection(XesConnection):
         self.sec_connector: Optional[Connector] = None
 
     # -- the duplexed-write protocol --------------------------------------
-    def _both(self, fn: Callable, mirror: Callable) -> Callable:
-        """Wrap ``fn`` so the mirror applies atomically with it."""
+    def _both(self, op: Callable) -> Callable:
+        """Bind ``op`` to the primary and apply it to the secondary
+        atomically with it."""
+        primary = self._bind(op)
+
         def both():
-            result = fn()
+            result = primary()
             sec = self.sec_structure
             if sec is not None and not sec.lost:
                 try:
-                    mirror(sec, self.sec_connector)
+                    op(sec, self.sec_connector)
                 except Exception as exc:  # never poison the primary leg
                     self.pair.drop_secondary(
                         f"mirror:{type(exc).__name__}")
             return result
         return both
 
-    def _secondary_leg(self, leg: Callable, kw: dict) -> Generator:
-        """Pay the secondary round trip; break to simplex on failure."""
-        port = self.sec_port
-        if port is None:  # the mirror itself broke the pair
-            return
-        try:
-            yield from leg(port, **kw)
-        except SystemDown:
-            raise  # the *issuing* system died — not the secondary's fault
-        except Exception as exc:
-            self.pair.drop_secondary(type(exc).__name__)
+    def sync(self, op: Callable, write: bool = False, **kw) -> Generator:
+        return self._issue("sync", op, write, kw)
 
-    def sync(self, fn: Callable, mirror: Optional[Callable] = None,
-             **kw) -> Generator:
-        if mirror is None:
-            return self.port.sync(fn, **kw)
+    def async_(self, op: Callable, write: bool = False, **kw) -> Generator:
+        return self._issue("async_", op, write, kw)
+
+    def _issue(self, mode: str, op: Callable, write: bool,
+               kw: dict) -> Generator:
+        primary_leg = getattr(self.port, mode)
+        if not write:
+            return primary_leg(self._bind(op), **kw)
         if not self.pair.active:
             # simplex at issue time — but a concurrent re-duplex may
             # attach a secondary before this command *executes* at the
             # CF, so keep the wrap: ``_both`` re-checks at execution
-            # time and mirrors iff a secondary exists by then (the
-            # write rides the copy stream, no second round trip)
-            return self.port.sync(self._both(fn, mirror), **kw)
-        return self._duplexed(self.port.sync, mirror_sync, fn, mirror, kw)
+            # time and applies ``op`` there iff a secondary exists by
+            # then (the write rides the copy stream, no second round
+            # trip)
+            return primary_leg(self._both(op), **kw)
+        return self._duplexed(mode, primary_leg, self._both(op), kw)
 
-    def async_(self, fn: Callable, mirror: Optional[Callable] = None,
-               **kw) -> Generator:
-        if mirror is None:
-            return self.port.async_(fn, **kw)
-        if not self.pair.active:
-            return self.port.async_(self._both(fn, mirror), **kw)
-        return self._duplexed(self.port.async_, mirror_async, fn, mirror, kw)
-
-    def _duplexed(self, primary_leg: Callable, secondary_leg: Callable,
-                  fn: Callable, mirror: Callable, kw: dict) -> Generator:
+    def _duplexed(self, mode: str, primary_leg: Callable, both: Callable,
+                  kw: dict) -> Generator:
         pair = self.pair
         pair.inflight += 1
         try:
-            result = yield from primary_leg(self._both(fn, mirror), **kw)
-            yield from self._secondary_leg(secondary_leg, kw)
+            result = yield from primary_leg(both, **kw)
+            port = self.sec_port
+            if port is not None:  # else applying ``op`` broke the pair
+                try:
+                    yield from getattr(port, mode)(_noop, **kw)
+                except SystemDown:
+                    raise  # the *issuing* system died, not the secondary
+                except Exception as exc:
+                    pair.drop_secondary(type(exc).__name__)
         finally:
             pair.inflight -= 1
         return result
@@ -412,7 +434,7 @@ class XesServices:
         # the copy traffic: one bulk command over the carrier's links
         port = self._port(carrier.node, target)
         units = primary.state_units()
-        yield from port.async_(lambda: None, out_bytes=4096, data=True,
+        yield from port.async_(_noop, out_bytes=4096, data=True,
                                service_factor=max(1.0, 0.05 * units))
         # atomic at copy completion: allocate, clone, re-attach
         secondary = pair.factory()

@@ -414,10 +414,6 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._queue, (self._now + delay, priority, seq, event))
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run a plain callable after ``delay`` seconds."""
-        self.call_at(self._now + delay, fn)
-
     # -- execution -------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""

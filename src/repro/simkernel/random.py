@@ -38,9 +38,6 @@ class RandomStreams:
             self._streams[name] = gen
         return gen
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
 
 def zipf_weights(n: int, theta: float) -> np.ndarray:
     """Normalised Zipf(θ) popularity weights over ``n`` items.

@@ -261,25 +261,17 @@ class BufferManager:
     def _register_and_fill(self, page: object, slot: int,
                            buf_old_name: Optional[object]) -> Generator:
         """One CF command: (name-replacement) registration + optional read."""
-        cache, conn = self.cache, self.xes.connector
-        old = buf_old_name
-
-        def fn():
-            if old is not None:
-                cache.unregister(conn, old)
-            return cache.register_and_read(conn, page, slot)
-
-        # duplexing: registration mutates the directory, so the secondary
+        # registration mutates the directory, so a duplexed secondary
         # must see it too (the shared vector bit is only set once)
-        def fn_mirror(s, c):
-            if old is not None:
-                s.unregister(c, old)
-            s.register_and_read(c, page, slot)
+        def fn(s, c):
+            if buf_old_name is not None:
+                s.unregister(c, buf_old_name)
+            return s.register_and_read(c, page, slot)
 
         # the response carries the 4K block only on a CF hit
-        will_hit = cache.has_data(page)
+        will_hit = self.cache.has_data(page)
         status, _version = yield from self.xes.sync(
-            fn, mirror=fn_mirror,
+            fn, write=True,
             in_bytes=PAGE_BYTES if will_hit else 64, data=will_hit
         )
         if status == "hit":
@@ -320,10 +312,9 @@ class BufferManager:
         for page in pages:
             if page not in dirty:
                 continue
-            cache, conn = self.cache, self.xes.connector
             yield from self.xes.sync(
-                lambda p=page: cache.write_and_invalidate(conn, p),
-                mirror=lambda s, c, p=page: s.write_and_invalidate(c, p),
+                lambda s, c, p=page: s.write_and_invalidate(c, p),
+                write=True,
                 out_bytes=PAGE_BYTES,
                 data=True,
                 signal_wait=True,
@@ -454,19 +445,15 @@ class CastoutEngine:
                 return
             # re-resolve each round: a duplex switch rebinds the
             # connection's structure in place mid-run
-            cache = self.xes.structure
-            names = cache.changed_blocks(self.batch)
+            names = self.xes.structure.changed_blocks(self.batch)
             # keep draining back-to-back while a backlog exists; idle on
             # the interval only when caught up
             backlog = len(names) >= self.batch
             if not names:
                 continue
 
-            def read_batch():
-                return {n: cache.castout(n) for n in names}
-
             versions = yield from self.xes.async_(
-                read_batch,
+                lambda s, c: {n: s.castout(n) for n in names},
                 in_bytes=PAGE_BYTES * len(names),
                 data=True,
                 service_factor=max(1.0, 0.25 * len(names)),
@@ -481,19 +468,14 @@ class CastoutEngine:
             if writes:
                 yield self.sim.all_of(writes)
 
-            def complete_batch():
-                for n, v in versions.items():
-                    if v is not None:
-                        cache.castout_complete(n, v)
-
-            def complete_batch_mirror(s, c):
+            def complete_batch(s, c):
                 for n, v in versions.items():
                     if v is not None:
                         s.castout_complete(n, v)
 
             yield from self.xes.async_(
                 complete_batch,
-                mirror=complete_batch_mirror,
+                write=True,
                 service_factor=max(1.0, 0.25 * len(names)),
             )
             self.pages_cast += sum(1 for v in versions.values() if v is not None)

@@ -88,7 +88,6 @@ class JesMember:
         self.member_index = member_index
         self.rng = rng
         self.jobs_run = 0
-        self._active = True
         for job_class, count in initiators.items():
             for i in range(count):
                 sim.process(self._initiator(job_class),
@@ -97,24 +96,21 @@ class JesMember:
     # -- submission ----------------------------------------------------------
     def submit(self, job: BatchJob) -> Generator:
         """Process step: place a job on its class queue (one CF command)."""
-        st, conn = self.xes.structure, self.xes.connector
         job.submitted_at = self.sim.now
         header = self.spool.class_header(job.job_class)
         entry = ListEntry(key=(job.priority, job.job_id), data=job)
         yield from self.xes.sync(
-            lambda: st.push(conn, header, entry, where="keyed"),
-            mirror=lambda s, c: s.push(c, header, entry, where="keyed"),
-            out_bytes=256,
+            lambda s, c: s.push(c, header, entry, where="keyed"),
+            write=True, out_bytes=256,
         )
         self.spool.submitted += 1
 
     # -- initiators -------------------------------------------------------------
     def _initiator(self, job_class: str) -> Generator:
-        st, conn = self.xes.structure, self.xes.connector
         header = self.spool.class_header(job_class)
         parked = self.spool.exec_header(self.member_index)
         try:
-            while self._active and self.node.alive:
+            while self.node.alive:
                 # atomically take the highest-priority job: read the head,
                 # move it to our executing header in one CF command
                 def take_on(s, c):
@@ -125,9 +121,8 @@ class JesMember:
                     s.move(c, header, parked, entry.entry_id)
                     return entry
 
-                entry = yield from self.xes.sync(
-                    lambda: take_on(st, conn), mirror=take_on, in_bytes=256
-                )
+                entry = yield from self.xes.sync(take_on, write=True,
+                                                 in_bytes=256)
                 if entry is None:
                     yield self.sim.timeout(0.01)  # idle poll
                     continue
@@ -136,9 +131,8 @@ class JesMember:
                 yield from self._execute(job)
                 # completion = deleting the parked entry
                 yield from self.xes.sync(
-                    lambda e=entry: st.delete(conn, parked, e.entry_id),
-                    mirror=lambda s, c, e=entry: s.delete(c, parked,
-                                                          e.entry_id),
+                    lambda s, c, e=entry: s.delete(c, parked, e.entry_id),
+                    write=True,
                 )
                 self.spool.completed += 1
                 self.spool.turnaround.record(self.sim.now - job.submitted_at)
@@ -162,7 +156,6 @@ class JesMember:
         """Process step: requeue a dead member's parked jobs (peer runs
         this).  Each job goes back to its class queue and will be taken
         by some surviving initiator."""
-        st, conn = self.xes.structure, self.xes.connector
         parked = self.spool.exec_header(dead_index)
 
         def requeue_on(s, c):
@@ -174,12 +167,7 @@ class JesMember:
                 n += 1
             return n
 
-        n = yield from self.xes.sync(
-            lambda: requeue_on(st, conn), mirror=requeue_on,
-            service_factor=2.0
-        )
+        n = yield from self.xes.sync(requeue_on, write=True,
+                                     service_factor=2.0)
         self.spool.requeued += n
         return n
-
-    def stop(self) -> None:
-        self._active = False

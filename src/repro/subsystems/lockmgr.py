@@ -236,6 +236,15 @@ class LockSpace:
                 )
 
 
+def _release(structure: LockStructure, conn, locks) -> None:
+    """Drop the interest in ``locks`` ((resource, mode) pairs) on one
+    lock structure instance, and each EXCL lock's persistent record."""
+    for resource, mode in locks:
+        structure.release(conn, resource, mode)
+        if mode == LockMode.EXCL:
+            structure.delete_record(conn, resource)
+
+
 class LockManager:
     """One system's lock-manager instance (one CF connector)."""
 
@@ -270,24 +279,18 @@ class LockManager:
 
             raise SystemDown(self.system_name)
         space = self.space
-        structure, conn = self.structure, self.xes.connector
 
         # one closure per call is load-bearing: several transactions on
-        # one system lock concurrently, and the CF executes ``fn`` at
-        # command-service time, long after this frame moved on
-        def cf_request():
-            result = structure.request(conn, resource, mode)
-            if result.granted and mode == LockMode.EXCL:
-                # record data piggybacked on the same command (§3.3.1)
-                structure.write_record(conn, resource, {"sys": self.system_name})
-            return result
-
-        # duplexing: the same request against the secondary instance
-        # (identical state => identical grant decision)
-        def cf_request_mirror(s, c):
+        # one system lock concurrently, and the CF executes it at
+        # command-service time, long after this frame moved on.  A
+        # duplexed secondary runs the same request (identical state =>
+        # identical grant decision)
+        def cf_request(s, c):
             result = s.request(c, resource, mode)
             if result.granted and mode == LockMode.EXCL:
+                # record data piggybacked on the same command (§3.3.1)
                 s.write_record(c, resource, {"sys": self.system_name})
+            return result
 
         # Retained-lock check: updates of a failed system stay protected
         # until peer recovery completes; conflicting requests are
@@ -297,7 +300,7 @@ class LockManager:
         if space.retained and space.conflicts_with_retained(resource, mode):
             raise RetainedLockReject(resource)
 
-        result = yield from self.xes.sync(cf_request, mirror=cf_request_mirror)
+        result = yield from self.xes.sync(cf_request, write=True)
 
         if result.granted:
             if space.retained and space.conflicts_with_retained(resource,
@@ -320,18 +323,15 @@ class LockManager:
     def _undo_interest(self, resource: object, mode: str) -> None:
         """Back out interest recorded by a granted-then-rejected request.
 
-        Applied to every instance of a duplexed pair — the mirror
+        Applied to every instance of a duplexed pair — the request
         recorded the interest on the secondary too.
         """
         for structure, conn in self.xes.instances():
-            structure.release(conn, resource, mode)
-            if mode == LockMode.EXCL:
-                structure.delete_record(conn, resource)
+            _release(structure, conn, ((resource, mode),))
 
     def _lock_contended(self, owner: object, resource: object,
                         mode: str) -> Generator:
         """The negotiation path: the CF returned the holders' identities."""
-        structure, conn = self.structure, self.xes.connector
         self.negotiations += 1
         yield from traced(self.trace, "lock.negotiate",
                           self._negotiate_cost())
@@ -342,9 +342,7 @@ class LockManager:
         if self.space.try_grant(resource, owner, mode):
             # false contention (or holder released meanwhile): grant
             yield from self.xes.sync(
-                lambda: structure.force_record(conn, resource, mode),
-                mirror=lambda s, c: s.force_record(c, resource, mode),
-            )
+                lambda s, c: s.force_record(c, resource, mode), write=True)
             self._note_held(owner, resource, mode)
             return
         yield from self._wait(owner, resource, mode)
@@ -385,10 +383,7 @@ class LockManager:
         # granted by a releaser: record interest at the CF and locally
         try:
             yield from self.xes.sync(
-                lambda: self.structure.force_record(
-                    self.xes.connector, resource, mode),
-                mirror=lambda s, c: s.force_record(c, resource, mode),
-            )
+                lambda s, c: s.force_record(c, resource, mode), write=True)
         except BaseException:
             # this system died between the software grant and the CF
             # record: undo the grant so the resource isn't poisoned, and
@@ -419,22 +414,11 @@ class LockManager:
 
     def unlock(self, owner: object, resource: object, mode: str) -> Generator:
         """Release one lock: CF command + wake grantable waiters."""
-        structure, conn = self.structure, self.xes.connector
         modes = self.held.get(owner, {})
         if resource not in modes:
             return
-
-        def cf_release():
-            structure.release(conn, resource, mode)
-            if mode == LockMode.EXCL:
-                structure.delete_record(conn, resource)
-
-        def cf_release_mirror(s, c):
-            s.release(c, resource, mode)
-            if mode == LockMode.EXCL:
-                s.delete_record(c, resource)
-
-        yield from self.xes.sync(cf_release, mirror=cf_release_mirror)
+        yield from self.xes.sync(
+            lambda s, c: _release(s, c, ((resource, mode),)), write=True)
         del modes[resource]
         if not modes:
             self.held.pop(owner, None)
@@ -450,22 +434,8 @@ class LockManager:
         locks = list(self.held.get(owner, {}).items())
         if not locks:
             return
-        structure, conn = self.structure, self.xes.connector
-
-        def cf_release_all():
-            for resource, mode in locks:
-                structure.release(conn, resource, mode)
-                if mode == LockMode.EXCL:
-                    structure.delete_record(conn, resource)
-
-        def cf_release_all_mirror(s, c):
-            for resource, mode in locks:
-                s.release(c, resource, mode)
-                if mode == LockMode.EXCL:
-                    s.delete_record(c, resource)
-
         yield from self.xes.sync(
-            cf_release_all, mirror=cf_release_all_mirror,
+            lambda s, c: _release(s, c, locks), write=True,
             service_factor=max(1.0, 0.25 * len(locks))
         )
         self.held.pop(owner, None)
@@ -493,13 +463,10 @@ class LockManager:
         hash class as contended.
         """
         modes = self.held.pop(owner, {})
-        pairs = self.xes.instances()
-        for resource, mode in modes.items():
-            for structure, conn in pairs:
-                if not structure.lost and conn.active:
-                    structure.release(conn, resource, mode)
-                    if mode == LockMode.EXCL:
-                        structure.delete_record(conn, resource)
+        for structure, conn in self.xes.instances():
+            if not structure.lost and conn.active:
+                _release(structure, conn, modes.items())
+        for resource in modes:
             for w in self.space.release(resource, owner):
                 if not w.event.triggered:
                     w.event.succeed()

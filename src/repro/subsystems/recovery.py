@@ -57,7 +57,7 @@ class PeerRecovery:
         structure = failed.locks.structure
         if not structure.lost:
             records = yield from recoverer.locks.xes.sync(
-                lambda: structure.records_of(conn_id),
+                lambda s, c: s.records_of(conn_id),
                 service_factor=max(1.0, 0.25 * max(1, len(retained))),
             )
         else:  # pragma: no cover - CF died too; log is the only source
@@ -73,8 +73,7 @@ class PeerRecovery:
         # 4. release the retained locks and purge the CF records
         if not structure.lost:
             yield from recoverer.locks.xes.sync(
-                lambda: structure.purge_records(conn_id),
-                mirror=lambda s, c: s.purge_records(conn_id),
+                lambda s, c: s.purge_records(conn_id), write=True,
                 service_factor=max(1.0, 0.25 * max(1, len(records))),
             )
         released = self.space.clear_retained(failed.system_name)

@@ -319,14 +319,12 @@ class ListQueueRouter:
         self.sim.process(self._push(xes, txn), name="listq-push")
 
     def _push(self, xes: XesConnection, txn):
-        st, conn = xes.structure, xes.connector
         # one entry object pushed to both instances keeps entry ids equal
         entry = ListEntry(data=txn)
         try:
             yield from xes.sync(
-                lambda: st.push(conn, self.header, entry),
-                mirror=lambda s, c: s.push(c, self.header, entry),
-                out_bytes=256,
+                lambda s, c: s.push(c, self.header, entry),
+                write=True, out_bytes=256,
             )
             self.pushed += 1
         except (SystemDown, CfFailedError, StructureFailedError):
@@ -339,9 +337,8 @@ class ListQueueRouter:
             while tm.available:
                 if vector.test(0):
                     entry = yield from xes.sync(
-                        lambda: st.pop(conn, self.header),
-                        mirror=lambda s, c: s.pop(c, self.header),
-                        in_bytes=256,
+                        lambda s, c: s.pop(c, self.header),
+                        write=True, in_bytes=256,
                     )
                     if entry is None:
                         st.clear_monitor_bit(conn, 0)

@@ -51,13 +51,10 @@ class GenericResources:
             entry_node = live[0]
         target = self.wlm.select_system(live)
         xes = self.connections[entry_node.name]
-        st, conn = xes.structure, xes.connector
         entry = ListEntry(key=str(user), data={"user": user, "sys": target.name})
         yield from xes.sync(
-            lambda: st.push(conn, self.affinity_header, entry, where="keyed"),
-            mirror=lambda s, c: s.push(c, self.affinity_header, entry,
-                                       where="keyed"),
-            out_bytes=128,
+            lambda s, c: s.push(c, self.affinity_header, entry, where="keyed"),
+            write=True, out_bytes=128,
         )
         self.sessions[user] = (target.name, entry.entry_id)
         self.binds += 1

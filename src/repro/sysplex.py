@@ -426,9 +426,7 @@ class Sysplex:
 
         def lock_contrib(inst: Instance):
             def fn(xconn):
-                structure, conn = xconn.structure, xconn.connector
-
-                def replay():
+                def replay(structure, conn):
                     # snapshot `held` at CF-execution time: tasks that
                     # abandoned their locks while the rebuild was being
                     # issued are then correctly absent
@@ -449,7 +447,6 @@ class Sysplex:
 
         def cache_contrib(inst: Instance):
             def fn(xconn):
-                cache, conn = xconn.structure, xconn.connector
                 # only buffers that were VALID at failure time may be
                 # re-registered as current; cross-invalidated copies stay
                 # invalid and refresh through the normal miss path
@@ -464,7 +461,7 @@ class Sysplex:
                     if old_vec is None or old_vec.test(slot)
                 ]
 
-                def reregister():
+                def reregister(cache, conn):
                     for page, slot in pool:
                         cache.register_and_read(conn, page, slot)
 
@@ -477,7 +474,8 @@ class Sysplex:
 
         def list_contrib(inst: Instance):
             def fn(xconn):
-                yield from xconn.sync(lambda: None)  # (re)connect handshake
+                # (re)connect handshake
+                yield from xconn.sync(lambda s, c: None)
                 inst.xes_list = xconn
 
             return fn
@@ -636,19 +634,11 @@ class _LocalXes:
         self.structure = LockStructure(f"LOCAL-{node.name}", 1 << 16)
         self.connector = self.structure.connect(node.name)
 
-    def sync(self, fn, **_kw):
+    def sync(self, op, **_kw):
         # local latch: a few hundred nanoseconds of path length, charged
         # as plain CPU without a link round trip
         yield from self.node.cpu.consume(0.5e-6)
-        return fn()
-
-    def async_(self, fn, **_kw):
-        yield from self.node.cpu.consume(0.5e-6)
-        return fn()
+        return op(self.structure, self.connector)
 
     def instances(self):
         return [(self.structure, self.connector)]
-
-    @property
-    def operational(self) -> bool:
-        return True

@@ -229,17 +229,21 @@ def test_unsynced_clocks_would_diverge():
 
 
 # -------------------------------------------------------------- system node --
-def test_system_node_failure_hooks_fire_in_order():
+def test_system_node_fail_is_idempotent():
     sim = Simulator()
     node = SystemNode(sim, SysplexConfig(), index=1)
-    calls = []
-    node.on_failure(lambda n: calls.append("first"))
-    node.on_failure(lambda n: calls.append("second"))
-    node.fail()
-    assert calls == ["first", "second"]
+
+    def later():
+        yield sim.timeout(2.0)
+        node.fail()
+        yield sim.timeout(1.0)
+        node.fail()  # idempotent: the first failure instant stands
+
+    sim.process(later())
+    sim.run()
     assert not node.alive
-    node.fail()  # idempotent
-    assert calls == ["first", "second"]
+    assert node.cpu.offline
+    assert node.failed_at == 2.0
 
 
 def test_system_node_restart_hooks():

@@ -23,8 +23,8 @@ def test_cds_update_and_read():
 
     def work():
         yield from cds.update("SYS00", "k", 42)
-        v = yield from cds.read("k")
-        result.append((sim.now, v))
+        table = yield from cds.read_all()
+        result.append((sim.now, table["k"]))
 
     sim.process(work())
     sim.run()
@@ -43,7 +43,7 @@ def test_cds_writes_are_serialized_by_reserve():
 
     def reader():
         yield sim.timeout(1.0)
-        got.append((yield from cds.read("key")))
+        got.append((yield from cds.read_all())["key"])
 
     sim.process(writer("SYS00", 1))
     sim.process(writer("SYS01", 2))

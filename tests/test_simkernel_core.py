@@ -320,19 +320,6 @@ def test_call_at_runs_callable():
     assert fired == [7.0]
 
 
-def test_schedule_relative():
-    sim = Simulator()
-    fired = []
-
-    def proc():
-        yield sim.timeout(2)
-        sim.schedule(3, lambda: fired.append(sim.now))
-
-    sim.process(proc())
-    sim.run()
-    assert fired == [5.0]
-
-
 def test_peek_reports_next_event_time():
     sim = Simulator()
     sim.timeout(9)

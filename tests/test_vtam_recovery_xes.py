@@ -164,8 +164,7 @@ def test_xes_structure_rebuild_into_surviving_cf():
     def setup():
         for i, xconn in enumerate(conns):
             yield from xconn.sync(
-                lambda i=i, x=xconn: x.structure.request(
-                    x.connector, f"res{i}", LockMode.EXCL)
+                lambda s, c, i=i: s.request(c, f"res{i}", LockMode.EXCL)
             )
 
     sim.process(setup())
@@ -178,8 +177,7 @@ def test_xes_structure_rebuild_into_surviving_cf():
     def contribute(i):
         def fn(xconn):
             yield from xconn.sync(
-                lambda x=xconn, i=i: x.structure.force_record(
-                    x.connector, f"res{i}", LockMode.EXCL)
+                lambda s, c: s.force_record(c, f"res{i}", LockMode.EXCL)
             )
 
         return fn

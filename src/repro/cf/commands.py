@@ -28,8 +28,9 @@ extra events, no behavioural drift for non-chaos runs.
 
 **Two sync paths.**  Under the ``sweep`` profile a port runs the
 *collapsed* frame: the same instants, resource accounting and
-``cf.sync``/``cf.service`` spans as the general path in 3 calendar
-events instead of 8 (see :meth:`CfPort.sync`).  Only redrive
+``cf.sync``/``cf.service`` spans as the general path in at most 3
+calendar events instead of 8 (see :meth:`CfPort.sync`); a stage whose
+end would be the next event anyway takes none.  Only redrive
 (``request_timeout`` set) keeps a ``sweep`` port on the general path;
 ``verify`` always runs it.
 """
@@ -226,13 +227,15 @@ class CfPort:
             # (absolute-time scheduling via ``timeout_at``; same expression
             # shapes for every sum).  A busy CF processor queues from the
             # exact same instant; a busy subchannel hands the trip to the
-            # general path.  Net: 3 calendar events instead of 8 and no
-            # per-stage allocation.  Merged events are *created* earlier,
-            # so at saturation — where constant costs phase-lock commands
-            # onto the same float instants — two commands reaching the CF
-            # in one instant can pop in a different order than on the
-            # general path: statistically neutral, not byte-identical to
-            # ``verify``.
+            # general path.  Net: at most 3 calendar events instead of 8
+            # and no per-stage allocation; a stage whose end precedes
+            # every calendar entry takes no event at all
+            # (``Simulator.advance_to``).  Merged events are *created*
+            # earlier, so at saturation — where constant costs phase-lock
+            # commands onto the same float instants — two commands
+            # reaching the CF in one instant can pop in a different order
+            # than on the general path: statistically neutral, not
+            # byte-identical to ``verify``.
             sim = self.sim
             cpu = self.node.cpu
             engines = cpu.engines
@@ -267,7 +270,8 @@ class CfPort:
                     transfer = (out_bytes + in_bytes) / self._bandwidth
                     t_arrive = (sim._now + self._issue_inflated) \
                         + (self._latency + transfer)
-                    yield sim.timeout_at(t_arrive)
+                    if not sim.advance_to(t_arrive):
+                        yield sim.timeout_at(t_arrive)
                     if not link.operational:
                         raise InterfaceControlCheck(link.name)
                     cf = self.cf
@@ -292,7 +296,9 @@ class CfPort:
                             yield preq
                             if cf.failed:
                                 raise CfFailedError(cf.name)
-                        yield sim.timeout(svc)
+                        t_svc = sim._now + svc
+                        if not sim.advance_to(t_svc):
+                            yield sim.timeout_at(t_svc)
                         if cf.failed:
                             raise CfFailedError(cf.name)
                         cf.commands_executed += 1
@@ -313,7 +319,8 @@ class CfPort:
                             + self._latency
                     else:
                         t_done = sim._now + self._latency
-                    yield sim.timeout_at(t_done)
+                    if not sim.advance_to(t_done):
+                        yield sim.timeout_at(t_done)
                     if not link.operational:
                         raise InterfaceControlCheck(link.name)
                     link.ops += 1

@@ -70,7 +70,12 @@ class CpuComplex:
                 raise SystemDown(self.name)
             burn = cpu_seconds * self._inflation / self._speed
             self.busy_seconds += burn
-            yield self.sim.timeout(burn)
+            # the burn's end is often the next event anyway: then the
+            # clock just moves there, with no calendar event
+            sim = self.sim
+            t_end = sim._now + burn
+            if not sim.advance_to(t_end):
+                yield sim.timeout_at(t_end)
         finally:
             if req is None:
                 engines.unclaim()

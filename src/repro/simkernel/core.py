@@ -14,7 +14,9 @@ The calendar is one binary heap of ``(when, priority, seq, event)``
 tuples, driven by C ``heappush``/``heappop`` and drained by one loop in
 :meth:`Simulator.run`.  ``seq`` is unique and monotone, so the tuple order
 is total and every byte-identity guarantee in the repo is stated against
-this pop order.
+this pop order.  :meth:`Simulator.advance_to` lets a process skip a wait
+that would pop next anyway; it consumes no ``seq``, so the pop order of
+every other event is unchanged.
 """
 
 from __future__ import annotations
@@ -336,8 +338,16 @@ class Simulator:
         #: empty by default so the hot resume path pays one falsy check
         self._process_watchers: list = []
         #: calendar events processed so far (the model layer's cost metric:
-        #: fewer events for the same simulated outcome = a faster run)
+        #: fewer events for the same simulated outcome = a faster run).  A
+        #: wait that :meth:`advance_to` skips is no event and is not
+        #: counted: the count is what the calendar dispatched, not how
+        #: many waits the model wrote
         self.events_processed: int = 0
+        #: set by :meth:`run` while it dispatches an event with exactly
+        #: one callback, and the horizon of that run: the two conditions
+        #: :meth:`advance_to` needs besides the calendar's head
+        self._solo: bool = False
+        self._horizon: float = float("inf")
 
     # -- clock -------------------------------------------------------------
     @property
@@ -414,6 +424,29 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._queue, (self._now + delay, priority, seq, event))
 
+    def advance_to(self, when: float) -> bool:
+        """Move the clock to ``when`` in place of a wait, if that wait
+        would be the very next event anyway.
+
+        Returns True, with ``now == when``, when all of these hold: the
+        caller runs inside the only callback of the event being
+        dispatched, ``when`` lies within the run's horizon, and the
+        calendar is empty or its head is strictly later than ``when``.
+        A ``timeout_at(when)`` yielded there would have been pushed,
+        popped next and would have resumed the same process with
+        ``None``, so the process may simply go on.  No ``seq`` is
+        consumed, so every other event keeps its relative order.  A tie
+        with the head returns False: the head was scheduled first and
+        pops first.  Use as ``if not sim.advance_to(t): yield
+        sim.timeout_at(t)``.
+        """
+        if self._solo and when <= self._horizon:
+            queue = self._queue
+            if not queue or queue[0][0] > when:
+                self._now = when
+                return True
+        return False
+
     # -- execution -------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
@@ -445,11 +478,14 @@ class Simulator:
         # The event loop proper, and the only place events are processed:
         # pop, advance the clock, run callbacks.  The calendar is bound to
         # locals and the per-event work is written out inline, with no
-        # helper frame and no per-event attribute stores on ``self`` —
-        # the bulk of the kernel's per-event cost.
+        # helper frame and only two attribute stores on ``self`` per
+        # event (``_now`` and ``_solo``).  ``_solo`` stays set between a
+        # one-callback event and the next pop, where no model code runs,
+        # and is cleared when run() returns.
         count = 0
         queue = self._queue
         pop = heappop
+        self._horizon = horizon
         try:
             while queue and queue[0][0] <= horizon:
                 when, _prio, _seq, event = pop(queue)
@@ -458,6 +494,7 @@ class Simulator:
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._state = _PROCESSED
+                self._solo = len(callbacks) == 1
                 for cb in callbacks:
                     cb(event)
                 if not event._ok and not event._defused:
@@ -470,9 +507,9 @@ class Simulator:
                 raise val
             return val
         finally:
-            # flushed once per run() call, not per event, to keep the
-            # loop free of per-event attribute stores
+            # flushed once per run() call, not per event
             self.events_processed += count
+            self._solo = False
         if horizon != float("inf"):
             self._now = horizon
         if isinstance(until, Event):

@@ -39,18 +39,18 @@ from ..subsystems.lockmgr import (
     DeadlockAbort,
     RetainedLockReject,
     DeadlockDetector,
+    LocalLockPort,
     LockManager,
     LockSpace,
 )
 from ..subsystems.logmgr import LogManager
-from ..sysplex import _LocalXes
 
 __all__ = ["BroadcastCluster"]
 
 MAX_RETRIES = 10
 
 
-class _MessageLockPort(_LocalXes):
+class _MessageLockPort(LocalLockPort):
     """Lock-manager transport where remote-mastered requests pay messaging."""
 
     def __init__(self, node: SystemNode, cluster: "BroadcastCluster"):
@@ -64,11 +64,8 @@ class _MessageLockPort(_LocalXes):
         if cost > 0:
             yield from self.node.cpu.consume(self.cluster.config.xcf.message_cpu)
             yield self.node.sim.timeout(cost)
-            # master-side processing
-            yield from self.node.cpu.consume(0.5e-6)
-        else:
-            yield from self.node.cpu.consume(0.5e-6)
-        return op(self.structure, self.connector)
+        # the master's latch, local or remote
+        return (yield from super().sync(op))
 
 
 class BroadcastCluster:

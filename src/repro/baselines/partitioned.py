@@ -41,11 +41,11 @@ from ..subsystems.lockmgr import (
     DeadlockAbort,
     RetainedLockReject,
     DeadlockDetector,
+    LocalLockPort,
     LockManager,
     LockSpace,
 )
 from ..subsystems.logmgr import LogManager
-from ..sysplex import _LocalXes
 
 __all__ = ["PartitionedCluster"]
 
@@ -85,7 +85,7 @@ class PartitionedCluster:
         cfg = self.config
         node = SystemNode(self.sim, cfg, index, tod=self.timer.attach())
         self.nodes.append(node)
-        lockmgr = LockManager(self.sim, self.lock_space, _LocalXes(node),
+        lockmgr = LockManager(self.sim, self.lock_space, LocalLockPort(node),
                               cfg.xcf, node.name)
         buffers = BufferManager(self.sim, node, cfg.db, self.farm, xes=None)
         log_dev = DasdDevice(self.sim, cfg.dasd,

@@ -18,7 +18,9 @@ The *fine-grained* truth (which owner holds which resource in which mode)
 is the union of the lock managers' software state; it is held in the
 shared :class:`LockSpace`, which stands in for the distributed negotiation
 protocol state the IRLMs keep in concert.  The CF lock table remains the
-hash-class approximation — exactly its role in the real system.
+hash-class approximation — exactly its role in the real system.  A system
+that shares no data locks through a :class:`LocalLockPort`: it keeps no lock
+structure at all, and the lock space alone decides every conflict.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
-from ..cf.lock import LockMode, LockStructure
+from ..cf.lock import GrantResult, LockMode, LockStructure
 from ..config import XcfConfig
 from ..mvs.xes import XesConnection
 from ..simkernel import Event, Simulator
@@ -245,6 +247,32 @@ def _release(structure: LockStructure, conn, locks) -> None:
             structure.delete_record(conn, resource)
 
 
+#: the only answer a :class:`LocalLockPort` ever gives
+_GRANTED = GrantResult(True)
+
+
+class LocalLockPort:
+    """Lock port of a system that shares no lock structure.
+
+    Serves every system without data sharing and both baselines.  With no
+    other connector nothing can refuse a request, so the port runs no CF
+    command: it charges the local latch and grants.  The shared
+    :class:`LockSpace` still decides every conflict between owners.
+    """
+
+    def __init__(self, node):
+        self.node = node
+
+    def sync(self, op, **_kw):
+        # local latch: a few hundred nanoseconds of path length, charged
+        # as plain CPU without a link round trip
+        yield from self.node.cpu.consume(0.5e-6)
+        return _GRANTED
+
+    def instances(self):
+        return ()
+
+
 class LockManager:
     """One system's lock-manager instance (one CF connector)."""
 
@@ -262,10 +290,6 @@ class LockManager:
         self.sync_grants = 0
         self.negotiations = 0
         self.alive = True
-
-    @property
-    def structure(self) -> LockStructure:
-        return self.xes.structure  # type: ignore[return-value]
 
     # -- public API (process steps) -----------------------------------------------
     def lock(self, owner: object, resource: object, mode: str) -> Generator:

@@ -52,16 +52,17 @@ class PeerRecovery:
         yield from node.cpu.consume(self.config.log_replay_time * 0.1)
         yield self.sim.timeout(self.config.log_replay_time)
 
-        # 2. read persistent lock records from the CF (one batched command)
-        conn_id = failed.locks.xes.connector.conn_id
-        structure = failed.locks.structure
-        if not structure.lost:
+        # 2. read persistent lock records from the CF (one batched command);
+        # there are none without data sharing, and if the CF died too
+        # the log is the only source
+        instances = failed.locks.xes.instances()
+        in_cf = bool(instances) and not instances[0][0].lost
+        if in_cf:
+            conn_id = instances[0][1].conn_id
             records = yield from recoverer.locks.xes.sync(
                 lambda s, c: s.records_of(conn_id),
                 service_factor=max(1.0, 0.25 * max(1, len(retained))),
             )
-        else:  # pragma: no cover - CF died too; log is the only source
-            records = {page: {} for page in retained}
 
         # 3. redo/undo each in-flight transaction's pages
         n_pages = sum(len(p) for p in in_flight.values())
@@ -71,7 +72,7 @@ class PeerRecovery:
             failed.log.log_end(owner)
 
         # 4. release the retained locks and purge the CF records
-        if not structure.lost:
+        if in_cf:
             yield from recoverer.locks.xes.sync(
                 lambda s, c: s.purge_records(conn_id), write=True,
                 service_factor=max(1.0, 0.25 * max(1, len(records))),

@@ -37,7 +37,7 @@ from .mvs.xes import XesServices
 from .simkernel import MetricSet, RandomStreams, Simulator
 from .subsystems.buffermgr import BufferManager, CastoutEngine
 from .subsystems.database import DatabaseManager
-from .subsystems.lockmgr import DeadlockDetector, LockManager, LockSpace
+from .subsystems.lockmgr import DeadlockDetector, LocalLockPort, LockManager, LockSpace
 from .subsystems.logmgr import LogManager
 from .subsystems.recovery import PeerRecovery
 from .subsystems.txn import SysplexRouter, TransactionManager
@@ -234,7 +234,7 @@ class Sysplex:
             xes_list = self.xes.connect_duplexed(node, LIST_STRUCTURE)
 
         lockmgr = LockManager(self.sim, self.lock_space,
-                              xes_lock if sharing else _LocalXes(node),
+                              xes_lock if sharing else LocalLockPort(node),
                               cfg.xcf, node.name, trace=self.tracer)
         buffers = BufferManager(self.sim, node, cfg.db, self.farm,
                                 xes=xes_cache, trace=self.tracer)
@@ -620,25 +620,3 @@ class Sysplex:
                 self.sim.events_processed - getattr(self, "_events_start", 0)
             ),
         )
-
-
-class _LocalXes:
-    """Null CF connection for the non-data-sharing single-system case.
-
-    Lock requests are granted from a private in-memory table at pure local
-    cost — no coupling, exactly the §4 base case.
-    """
-
-    def __init__(self, node: SystemNode):
-        self.node = node
-        self.structure = LockStructure(f"LOCAL-{node.name}", 1 << 16)
-        self.connector = self.structure.connect(node.name)
-
-    def sync(self, op, **_kw):
-        # local latch: a few hundred nanoseconds of path length, charged
-        # as plain CPU without a link round trip
-        yield from self.node.cpu.consume(0.5e-6)
-        return op(self.structure, self.connector)
-
-    def instances(self):
-        return [(self.structure, self.connector)]

@@ -40,6 +40,7 @@ def test_single_system_non_sharing_has_no_cf():
     inst = plex.instances["SYS00"]
     assert inst.xes_cache is None
     assert not inst.buffers.data_sharing
+    assert not inst.lockmgr.xes.instances()
 
 
 def test_multi_system_sharing_requires_cf():

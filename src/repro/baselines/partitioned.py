@@ -18,93 +18,53 @@ of the database."  No coupling facility, no cross-system locks — but:
 
 Transactions are routed to the partition owning their first page (the
 "home" the system was tuned for); their accesses are executed locally or
-function-shipped.
+function-shipped.  The cluster skeleton (construction, admission, the
+deadlock-retry loop and its abort path, accounting, the measured window)
+is :class:`~repro.baselines.cluster.Cluster`'s; this module adds the
+owner map, function shipping, two-phase commit and repartitioning.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List
-
+from typing import Dict, Generator
 
 from ..cf.lock import LockMode
-from ..config import SysplexConfig
 from ..hardware.cpu import SystemDown
-from ..hardware.dasd import DasdDevice, DasdFarm
 from ..hardware.system import SystemNode
-from ..hardware.timer import SysplexTimer
-from ..metrics import RunResult
-from ..mvs.wlm import WorkloadManager
-from ..simkernel import MetricSet, RandomStreams, Resource, Simulator
 from ..subsystems.buffermgr import BufferManager
-from ..subsystems.database import UNDO_CPU_PER_PAGE
-from ..subsystems.lockmgr import (
-    DeadlockAbort,
-    RetainedLockReject,
-    DeadlockDetector,
-    LocalLockPort,
-    LockManager,
-    LockSpace,
-)
-from ..subsystems.logmgr import LogManager
+from .cluster import Cluster, Member
 
 __all__ = ["PartitionedCluster"]
 
-MAX_RETRIES = 10
 
-
-class PartitionedCluster:
+class PartitionedCluster(Cluster):
     """A shared-nothing cluster with the same hardware as a sysplex."""
 
-    def __init__(self, config: SysplexConfig):
-        self.config = config
-        self.sim = Simulator()
-        self.streams = RandomStreams(config.seed)
-        self.metrics = MetricSet(self.sim)
-        self.timer = SysplexTimer(self.sim)
-        self.farm = DasdFarm(self.sim, config.dasd,
-                             self.streams.stream("dasd"),
-                             n_devices=config.n_dasd)
-        self.wlm = WorkloadManager(self.sim, config.wlm,
-                                   self.streams.stream("wlm"))
-        self.lock_space = LockSpace(self.sim)
-        self.deadlocks = DeadlockDetector(self.sim, self.lock_space,
-                                          interval=config.db.deadlock_interval)
-        self.nodes: List[SystemNode] = []
-        self._stacks: List[dict] = []
-        for i in range(config.n_systems):
-            self._build_system(i)
+    def __init__(self, config):
+        super().__init__(config)
         self.n_partitions = config.n_systems
-        self.completed = 0
-        self.failed_txns = 0
         self.remote_calls = 0
         self.two_phase_commits = 0
         self.repartition_until = 0.0
-        self.deadlock_retries = 0
 
-    def _build_system(self, index: int) -> None:
-        cfg = self.config
-        node = SystemNode(self.sim, cfg, index, tod=self.timer.attach())
-        self.nodes.append(node)
-        lockmgr = LockManager(self.sim, self.lock_space, LocalLockPort(node),
-                              cfg.xcf, node.name)
-        buffers = BufferManager(self.sim, node, cfg.db, self.farm, xes=None)
-        log_dev = DasdDevice(self.sim, cfg.dasd,
-                             self.streams.stream(f"log-{node.name}"),
-                             name=f"log-{node.name}")
-        log = LogManager(self.sim, node, cfg.db, log_dev)
-        tasks = Resource(self.sim, capacity=32 * cfg.cpu.n_cpus)
-        self._stacks.append(
-            {"node": node, "locks": lockmgr, "buffers": buffers,
-             "log": log, "tasks": tasks}
-        )
-        self.wlm.watch(node)
-        self.sim.process(self._deferred_writer(index), name=f"dwq-{node.name}")
+    def _new_node(self, index: int) -> SystemNode:
+        return SystemNode(self.sim, self.config, index,
+                          tod=self.timer.attach())
 
-    def _deferred_writer(self, index: int):
-        stack = self._stacks[index]
-        while stack["node"].alive:
+    def _new_pool(self, node: SystemNode) -> BufferManager:
+        return BufferManager(self.sim, node, self.config.db, self.farm,
+                             xes=None)
+
+    def _build_system(self, index: int) -> Member:
+        member = super()._build_system(index)
+        self.sim.process(self._deferred_writer(member),
+                         name=f"dwq-{member.node.name}")
+        return member
+
+    def _deferred_writer(self, member: Member):
+        while member.node.alive:
             yield self.sim.timeout(0.05)
-            yield from stack["buffers"].flush_deferred(limit=128)
+            yield from member.buffers.flush_deferred(limit=128)
 
     # -- partition map -----------------------------------------------------------
     def owner_of(self, page: int) -> int:
@@ -112,133 +72,66 @@ class PartitionedCluster:
         return min(page * self.n_partitions // self.config.db.n_pages,
                    self.n_partitions - 1)
 
-    # -- the router interface (matches SysplexRouter.route) --------------------------
+    # -- transactions -----------------------------------------------------------------
     def route(self, txn) -> None:
         if self.sim.now < self.repartition_until:
             self.failed_txns += 1  # database offline for repartitioning
             return
-        first = (txn.writes or txn.reads)[0]
-        coord = self.owner_of(first)
-        if not self.nodes[coord].alive:
-            self.failed_txns += 1  # that partition's data is unavailable
-            return
-        self.sim.process(self._run(txn, coord), name=f"ptxn-{txn.txn_id}")
+        super().route(txn)  # a dead owner's partition is unavailable
 
-    def _run(self, txn, coord: int) -> Generator:
-        stack = self._stacks[coord]
-        req = stack["tasks"].request()
-        rng = self.streams.stream(f"retry-{coord}")
-        try:
-            yield req
-            node = stack["node"]
-            app_half = 0.5 * self.config.oltp.app_cpu
-            owner_key = (node.name, txn.txn_id)
-            try:
-                for _attempt in range(MAX_RETRIES):
-                    participants = {coord}
-                    try:
-                        yield from node.cpu.consume(app_half)
-                        for page in txn.reads:
-                            yield from self._access(
-                                coord, owner_key, page, LockMode.SHR,
-                                participants,
-                            )
-                        for page in txn.writes:
-                            yield from self._access(
-                                coord, owner_key, page, LockMode.EXCL,
-                                participants,
-                            )
-                        yield from node.cpu.consume(app_half)
-                        yield from self._commit(coord, owner_key, txn,
-                                                participants)
-                        break
-                    except DeadlockAbort:
-                        self.deadlock_retries += 1
-                        yield from self._abort(owner_key, participants)
-                        yield self.sim.timeout(float(rng.exponential(2e-3)))
-                else:
-                    self.failed_txns += 1
-                    return
-            except (SystemDown, RetainedLockReject):
-                self.failed_txns += 1
-                return
-            rt = self.sim.now - txn.arrival
-            self.completed += 1
-            self.metrics.counter("txn.completed").add()
-            self.metrics.tally("txn.response").record(rt)
-            self.wlm.record_response(txn.service_class, rt)
-            if txn.done is not None and not txn.done.triggered:
-                txn.done.succeed(rt)
-        finally:
-            req.cancel()
+    def _home(self, txn) -> int:
+        return self.owner_of((txn.writes or txn.reads)[0])
 
     def _access(self, coord: int, owner_key, page: int, mode: str,
                 participants: set) -> Generator:
         owner = self.owner_of(page)
-        xcfg = self.config.xcf
-        cstack = self._stacks[coord]
         if owner == coord:
             yield from self._local_access(owner, owner_key, page, mode)
             return
         # function shipping: request message, remote execution, reply
+        xcfg = self.config.xcf
         participants.add(owner)
         self.remote_calls += 1
         if not self.nodes[owner].alive:
             raise SystemDown(self.nodes[owner].name)
-        yield from cstack["node"].cpu.consume(xcfg.message_cpu)
+        ccpu = self.nodes[coord].cpu
+        ocpu = self.nodes[owner].cpu
+        yield from ccpu.consume(xcfg.message_cpu)
         yield self.sim.timeout(xcfg.message_latency)
-        ostack = self._stacks[owner]
-        yield from ostack["node"].cpu.consume(xcfg.message_cpu)
+        yield from ocpu.consume(xcfg.message_cpu)
         yield from self._local_access(owner, owner_key, page, mode)
-        yield from ostack["node"].cpu.consume(xcfg.message_cpu)
+        yield from ocpu.consume(xcfg.message_cpu)
         yield self.sim.timeout(xcfg.message_latency)
-        yield from cstack["node"].cpu.consume(xcfg.message_cpu)
+        yield from ccpu.consume(xcfg.message_cpu)
 
-    def _local_access(self, owner: int, owner_key, page: int,
-                      mode: str) -> Generator:
-        stack = self._stacks[owner]
-        yield from stack["locks"].lock(owner_key, page, mode)
-        yield from stack["node"].cpu.consume(self.config.db.db_call_cpu)
-        yield from stack["buffers"].get_page(page)
+    def _read_page(self, member: Member, page: int, mode: str) -> Generator:
+        yield from member.buffers.get_page(page)
         if mode == LockMode.EXCL:
-            stack["buffers"].mark_dirty(page)
-            stack["log"].log_update(owner_key, page)
+            member.buffers.mark_dirty(page)
 
     def _commit(self, coord: int, owner_key, txn, participants: set
                 ) -> Generator:
         xcfg = self.config.xcf
-        cstack = self._stacks[coord]
+        cmember = self.members[coord]
+        ccpu = cmember.node.cpu
         others = sorted(participants - {coord})
         if others:
             # two-phase commit: prepare round (each participant forces its
             # log), then the coordinator's decision force, then commits
             self.two_phase_commits += 1
             for p in others:
-                yield from cstack["node"].cpu.consume(xcfg.message_cpu)
+                yield from ccpu.consume(xcfg.message_cpu)
                 yield self.sim.timeout(xcfg.message_latency)
-                pstack = self._stacks[p]
-                yield from pstack["node"].cpu.consume(xcfg.message_cpu)
-                yield from pstack["log"].force()
+                pmember = self.members[p]
+                yield from pmember.node.cpu.consume(xcfg.message_cpu)
+                yield from pmember.log.force()
                 yield self.sim.timeout(xcfg.message_latency)
-                yield from cstack["node"].cpu.consume(xcfg.message_cpu)
-        yield from cstack["log"].force()
+                yield from ccpu.consume(xcfg.message_cpu)
+        yield from cmember.log.force()
         for p in others:  # commit messages (participants ack lazily)
-            yield from cstack["node"].cpu.consume(xcfg.message_cpu)
+            yield from ccpu.consume(xcfg.message_cpu)
         # release locks everywhere
-        for p in sorted(participants):
-            self._stacks[p]["log"].log_end(owner_key)
-            yield from self._stacks[p]["locks"].unlock_all(owner_key)
-
-    def _abort(self, owner_key, participants: set) -> Generator:
-        for p in sorted(participants):
-            stack = self._stacks[p]
-            touched = stack["log"].in_flight.get(owner_key, [])
-            if touched:
-                yield from stack["node"].cpu.consume(
-                    UNDO_CPU_PER_PAGE * len(touched)
-                )
-            stack["log"].log_end(owner_key)
-            yield from stack["locks"].unlock_all(owner_key)
+        yield from self._release(owner_key, participants)
 
     # -- growth: repartitioning outage (EXP-GROW) -------------------------------------
     def add_system(self, page_move_time: float = 0.2e-3) -> float:
@@ -255,53 +148,10 @@ class PartitionedCluster:
         self.repartition_until = self.sim.now + window
         return window
 
-    # -- measurement -------------------------------------------------------------------
-    def reset_measurement(self) -> None:
-        for tally in self.metrics.tallies.values():
-            tally.reset()
-        # snapshot, don't reset: the WLM samplers read these counters too
-        self._busy_snapshot = {
-            s["node"].name: s["node"].cpu.engines.busy_area()
-            for s in self._stacks
+    def _extras(self) -> Dict[str, float]:
+        return {
+            "remote_calls": float(self.remote_calls),
+            "two_phase_commits": float(self.two_phase_commits),
+            "failed": float(self.failed_txns),
+            **super()._extras(),
         }
-        self._measure_start = self.sim.now
-        self._completed_start = self.metrics.counter("txn.completed").count
-
-    def collect(self, label: str) -> RunResult:
-        start = getattr(self, "_measure_start", 0.0)
-        completed0 = getattr(self, "_completed_start", 0)
-        busy0 = getattr(self, "_busy_snapshot", {})
-        duration = self.sim.now - start
-
-        def _util(stack) -> float:
-            if duration <= 0:
-                return 0.0
-            node = stack["node"]
-            base = busy0.get(node.name, 0.0)
-            return (node.cpu.engines.busy_area() - base) / (
-                duration * node.cpu.n_cpus
-            )
-        completed = self.metrics.counter("txn.completed").count - completed0
-        rt = self.metrics.tally("txn.response")
-        return RunResult(
-            label=label,
-            duration=duration,
-            completed=completed,
-            throughput=completed / duration if duration > 0 else 0.0,
-            response_mean=rt.mean,
-            response_p50=rt.percentile(50),
-            response_p90=rt.percentile(90),
-            response_p95=rt.percentile(95),
-            response_p99=rt.percentile(99),
-            cpu_utilization={
-                s["node"].name: _util(s)
-                for s in self._stacks
-                if s["node"].alive
-            },
-            extras={
-                "remote_calls": float(self.remote_calls),
-                "two_phase_commits": float(self.two_phase_commits),
-                "failed": float(self.failed_txns),
-                "deadlock_retries": float(self.deadlock_retries),
-            },
-        )

@@ -41,12 +41,7 @@ def run_broadcast_spec(spec: RunSpec):
         cluster.sim, config.oltp, config.db.n_pages, config.n_systems,
         cluster.streams.stream("oltp"), router=cluster,
     )
-    # prewarm the simple version-checked pools
-    hot = gen.sampler.hottest(config.db.buffer_pages)
-    for stack in cluster._stacks:
-        for page in hot:
-            stack["pool"][page] = 0
-            stack["pool_order"].append(page)
+    cluster.prewarm(gen.sampler.hottest(config.db.buffer_pages))
     gen.start_closed_loop(config.oltp.terminals_per_cpu * config.cpu.n_cpus)
     cluster.sim.run(until=spec.warmup)
     cluster.reset_measurement()

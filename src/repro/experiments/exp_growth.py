@@ -99,9 +99,7 @@ def run_partitioned_spec(spec: RunSpec) -> Dict:
         cluster.sim, pconfig.oltp, pconfig.db.n_pages, n_initial,
         cluster.streams.stream("oltp"), router=cluster,
     )
-    hot = pgen.sampler.hottest(pconfig.db.buffer_pages)
-    first, *peers = [stack["buffers"] for stack in cluster._stacks]
-    first.prewarm(hot, peers=peers)
+    cluster.prewarm(pgen.sampler.hottest(pconfig.db.buffer_pages))
     pgen.start_open_loop(spec.offered_tps_per_system)
     pcounter = cluster.metrics.counter("txn.completed")
     timeline: List[dict] = []

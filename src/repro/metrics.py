@@ -8,11 +8,11 @@ lock statistics — so benchmark tables print uniformly across experiments.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["RunResult"]
+__all__ = ["RunResult", "Window"]
 
 
 @dataclass
@@ -92,4 +92,78 @@ class RunResult:
             f"rt mean {1e3 * self.response_mean:7.2f} ms   "
             f"p95 {1e3 * self.response_p95:7.2f} ms   "
             f"util {100 * self.mean_utilization:5.1f}%"
+        )
+
+
+class Window:
+    """The measured window of one model run.
+
+    Opening snapshots what the window subtracts: the systems' engine and
+    the CFs' processor busy areas, the completed-transaction count and
+    the kernel event count; it clears the tallies.  A snapshot, not a
+    reset: the WLM samplers read the same busy-area counters.  A model
+    opens one window at construction, so a :meth:`result` with no
+    ``reset`` in between measures from t = 0.  ``nodes`` and ``cfs`` are
+    the model's own lists, read live: a system added after the window
+    opened counts from zero busy time (the CFs all exist at
+    construction).
+    """
+
+    def __init__(self, sim, metrics, nodes: Sequence, cfs: Sequence = ()):
+        self.sim = sim
+        self.metrics = metrics
+        self.nodes = nodes
+        self.cfs = cfs
+        self.reset()
+
+    def reset(self) -> None:
+        """Open the window now."""
+        for tally in self.metrics.tallies.values():
+            tally.reset()
+        self.busy0 = {node.name: node.cpu.engines.busy_area()
+                      for node in self.nodes}
+        self.cf0 = [cf.processors.busy_area() for cf in self.cfs]
+        self.start = self.sim.now
+        self.completed0 = self.metrics.counter("txn.completed").count
+        self.events0 = self.sim.events_processed
+
+    def result(self, label: str, extras: Dict[str, float],
+               events: Optional[List[list]] = None) -> RunResult:
+        """Close the window at the current time into a :class:`RunResult`."""
+        duration = self.sim.now - self.start
+        completed = (self.metrics.counter("txn.completed").count
+                     - self.completed0)
+        rt = self.metrics.tally("txn.response")
+        rt_p50, rt_p90, rt_p95, rt_p99 = rt.percentiles((50, 90, 95, 99))
+
+        def util(resource, base: float, capacity: int) -> float:
+            if duration <= 0:
+                return 0.0
+            return (resource.busy_area() - base) / (duration * capacity)
+
+        cf_util = 0.0
+        for cf, base in zip(self.cfs, self.cf0):
+            cf_util = max(cf_util,
+                          util(cf.processors, base, cf.config.n_cpus))
+        return RunResult(
+            label=label,
+            duration=duration,
+            completed=completed,
+            throughput=completed / duration if duration > 0 else 0.0,
+            response_mean=rt.mean,
+            response_p50=rt_p50,
+            response_p90=rt_p90,
+            response_p95=rt_p95,
+            response_p99=rt_p99,
+            cpu_utilization={
+                node.name: util(node.cpu.engines,
+                                self.busy0.get(node.name, 0.0),
+                                node.cpu.n_cpus)
+                for node in self.nodes
+                if node.alive
+            },
+            cf_utilization=cf_util,
+            extras=extras,
+            events=events or [],
+            sim_events=self.sim.events_processed - self.events0,
         )

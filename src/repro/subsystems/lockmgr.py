@@ -135,6 +135,12 @@ class LockSpace:
         r.holders.pop(owner, None)
         return self.dispatch(name)
 
+    def release_and_wake(self, name: object, owner: object) -> None:
+        """:meth:`release`, resuming each newly granted waiter at once."""
+        for w in self.release(name, owner):
+            if not w.event.triggered:
+                w.event.succeed()
+
     def dispatch(self, name: object) -> List[_Waiter]:
         """Grant as many queued waiters as compatibility (and retained
         protection) allows.
@@ -400,9 +406,7 @@ class LockManager:
             # resource leaks a hold nobody will ever release
             from ..hardware.cpu import SystemDown
 
-            for w in self.space.release(resource, owner):
-                if not w.event.triggered:
-                    w.event.succeed()
+            self.space.release_and_wake(resource, owner)
             raise SystemDown(self.system_name)
         # granted by a releaser: record interest at the CF and locally
         try:
@@ -412,9 +416,7 @@ class LockManager:
             # this system died between the software grant and the CF
             # record: undo the grant so the resource isn't poisoned, and
             # wake whoever can now go
-            for w in self.space.release(resource, owner):
-                if not w.event.triggered:
-                    w.event.succeed()
+            self.space.release_and_wake(resource, owner)
             raise
         self._note_held(owner, resource, mode)
 
@@ -491,9 +493,7 @@ class LockManager:
             if not structure.lost and conn.active:
                 _release(structure, conn, modes.items())
         for resource in modes:
-            for w in self.space.release(resource, owner):
-                if not w.event.triggered:
-                    w.event.succeed()
+            self.space.release_and_wake(resource, owner)
 
     # -- bookkeeping -------------------------------------------------------------
     def _note_held(self, owner: object, resource: object, mode: str) -> None:
@@ -518,9 +518,7 @@ class LockManager:
         self.space.retain_for_system(self.system_name, all_held)
         for owner, modes in self.held.items():
             for resource in modes:
-                for w in self.space.release(resource, owner):
-                    if not w.event.triggered:
-                        w.event.succeed()
+                self.space.release_and_wake(resource, owner)
         self.held.clear()
         return {r: m for r, m in all_held.items() if m == LockMode.EXCL}
 

@@ -28,7 +28,7 @@ from .hardware.failures import FailureInjector
 from .hardware.links import LinkSet
 from .hardware.system import SystemNode
 from .hardware.timer import SysplexTimer
-from .metrics import RunResult
+from .metrics import RunResult, Window
 from .mvs.arm import AutomaticRestartManager
 from .mvs.cds import CoupleDataSet
 from .mvs.heartbeat import SysplexMonitor
@@ -49,6 +49,9 @@ __all__ = ["Sysplex", "Instance"]
 LOCK_STRUCTURE = "IRLMLOCK1"
 CACHE_STRUCTURE = "GBP0"
 LIST_STRUCTURE = "WORKQ1"
+#: (structure name, kind) in allocation and rebuild order
+STRUCTURES = ((LOCK_STRUCTURE, "lock"), (CACHE_STRUCTURE, "cache"),
+              (LIST_STRUCTURE, "list"))
 
 
 @dataclass
@@ -116,6 +119,18 @@ class Sysplex:
 
         # --- coupling facilities + structures --------------------------------
         self.cfs: List[CouplingFacility] = []
+        cf_cfg = config.cf
+        #: one factory per structure: its first allocation, a duplexed
+        #: secondary and a rebuild each take a fresh instance from it
+        self._new_structure = {
+            LOCK_STRUCTURE: lambda: LockStructure(
+                LOCK_STRUCTURE, cf_cfg.lock_table_entries),
+            CACHE_STRUCTURE: lambda: CacheStructure(
+                CACHE_STRUCTURE, cf_cfg.cache_elements,
+                cf_cfg.cache_directory_entries),
+            LIST_STRUCTURE: lambda: ListStructure(
+                LIST_STRUCTURE, n_headers=8, n_locks=4),
+        }
         self.xes = XesServices(self.sim, config.cf, trace=self.tracer,
                                streams=self.streams, collapse=collapse)
         if config.data_sharing and config.n_cfs > 0:
@@ -124,41 +139,15 @@ class Sysplex:
                 cf.trace = self.tracer
                 self.cfs.append(cf)
                 self.xes.add_facility(cf)
-            self.xes.allocate(
-                LockStructure(LOCK_STRUCTURE, config.cf.lock_table_entries)
-            )
-            self.xes.allocate(
-                CacheStructure(CACHE_STRUCTURE, config.cf.cache_elements,
-                               config.cf.cache_directory_entries)
-            )
-            self.xes.allocate(ListStructure(LIST_STRUCTURE, n_headers=8,
-                                            n_locks=4))
+            for make in self._new_structure.values():
+                self.xes.allocate(make())
             # system-managed structure duplexing: stand up hot secondary
             # instances in the second CF per the configured policy
             if config.cf.duplex != "none" and len(self.cfs) >= 2:
-                secondary_cf = self.cfs[1]
-                if config.cf.duplexes("lock"):
-                    self.xes.establish_duplexing(
-                        LOCK_STRUCTURE,
-                        lambda: LockStructure(LOCK_STRUCTURE,
-                                              config.cf.lock_table_entries),
-                        secondary_cf,
-                    )
-                if config.cf.duplexes("cache"):
-                    self.xes.establish_duplexing(
-                        CACHE_STRUCTURE,
-                        lambda: CacheStructure(
-                            CACHE_STRUCTURE, config.cf.cache_elements,
-                            config.cf.cache_directory_entries),
-                        secondary_cf,
-                    )
-                if config.cf.duplexes("list"):
-                    self.xes.establish_duplexing(
-                        LIST_STRUCTURE,
-                        lambda: ListStructure(LIST_STRUCTURE, n_headers=8,
-                                              n_locks=4),
-                        secondary_cf,
-                    )
+                for name, kind in STRUCTURES:
+                    if config.cf.duplexes(kind):
+                        self.xes.establish_duplexing(
+                            name, self._new_structure[name], self.cfs[1])
 
         # --- sysplex-wide services --------------------------------------------
         self.monitoring = monitoring
@@ -202,6 +191,7 @@ class Sysplex:
         from .mvs.operations import OperationsConsole
 
         self.console = OperationsConsole(self)
+        self._window = Window(self.sim, self.metrics, self.nodes, self.cfs)
 
     # -- construction helpers ---------------------------------------------------
     def _build_system(self, index: int) -> Instance:
@@ -377,11 +367,7 @@ class Sysplex:
             self._degraded(f"no-live-cf-after:{cf.name}")
             return
         self.metrics.counter("cf.rebuilds_started").add()
-        self.sfm.rebuild_started(cf, [
-            (LOCK_STRUCTURE, "lock"),
-            (CACHE_STRUCTURE, "cache"),
-            (LIST_STRUCTURE, "list"),
-        ])
+        self.sfm.rebuild_started(cf, list(STRUCTURES))
         self.sim.process(self._rebuild_guarded(cf),
                          name=f"rebuild-after-{cf.name}")
 
@@ -421,8 +407,6 @@ class Sysplex:
         recovery (e.g. the others duplex-switched instead).
         """
         from .cf.lock import LockMode
-
-        cfg = self.config
 
         def lock_contrib(inst: Instance):
             def fn(xconn):
@@ -480,27 +464,16 @@ class Sysplex:
 
             return fn
 
+        contrib = {LOCK_STRUCTURE: lock_contrib,
+                   CACHE_STRUCTURE: cache_contrib,
+                   LIST_STRUCTURE: list_contrib}
         alive = [i for i in self.instances.values() if i.node.alive]
-        if LOCK_STRUCTURE in names:
-            yield from self.xes.rebuild(
-                LOCK_STRUCTURE,
-                lambda: LockStructure(LOCK_STRUCTURE,
-                                      cfg.cf.lock_table_entries),
-                {i.node: lock_contrib(i) for i in alive},
-            )
-        if CACHE_STRUCTURE in names:
-            yield from self.xes.rebuild(
-                CACHE_STRUCTURE,
-                lambda: CacheStructure(CACHE_STRUCTURE, cfg.cf.cache_elements,
-                                       cfg.cf.cache_directory_entries),
-                {i.node: cache_contrib(i) for i in alive},
-            )
-        if LIST_STRUCTURE in names:
-            yield from self.xes.rebuild(
-                LIST_STRUCTURE,
-                lambda: ListStructure(LIST_STRUCTURE, n_headers=8, n_locks=4),
-                {i.node: list_contrib(i) for i in alive},
-            )
+        for name, _kind in STRUCTURES:
+            if name in names:
+                yield from self.xes.rebuild(
+                    name, self._new_structure[name],
+                    {i.node: contrib[name](i) for i in alive},
+                )
         # the castout engine died with the old cache structure
         if CACHE_STRUCTURE in names:
             for inst in self.instances.values():
@@ -545,42 +518,12 @@ class Sysplex:
 
     # -- measurement -----------------------------------------------------------------
     def reset_measurement(self) -> None:
-        """Snapshot statistics after warmup (non-destructive: the WLM
-        samplers keep reading the same busy-area counters)."""
-        for tally in self.metrics.tallies.values():
-            tally.reset()
-        self._busy_snapshot = {
-            name: inst.node.cpu.engines.busy_area()
-            for name, inst in self.instances.items()
-        }
-        self._cf_snapshot = [cf.processors.busy_area() for cf in self.cfs]
-        self._measure_start = self.sim.now
-        self._completed_start = self.metrics.counter("txn.completed").count
-        self._events_start = self.sim.events_processed
+        """Open the measured window now (after warmup)."""
+        self._window.reset()
 
     def collect(self, label: str) -> RunResult:
         """Summarize the window since :meth:`reset_measurement`."""
-        start = getattr(self, "_measure_start", 0.0)
-        completed0 = getattr(self, "_completed_start", 0)
-        busy0 = getattr(self, "_busy_snapshot", {})
-        cf0 = getattr(self, "_cf_snapshot", [0.0] * len(self.cfs))
-        duration = self.sim.now - start
-        completed = self.metrics.counter("txn.completed").count - completed0
-        rt = self.metrics.tally("txn.response")
-        rt_p50, rt_p90, rt_p95, rt_p99 = rt.percentiles((50, 90, 95, 99))
-
-        def _window_util(resource, base: float, capacity: int) -> float:
-            if duration <= 0:
-                return 0.0
-            return (resource.busy_area() - base) / (duration * capacity)
-
-        cf_util = 0.0
-        for i, cf in enumerate(self.cfs):
-            base = cf0[i] if i < len(cf0) else 0.0
-            cf_util = max(
-                cf_util,
-                _window_util(cf.processors, base, cf.config.n_cpus),
-            )
+        window = self._window
         lock_struct = self.xes.find(LOCK_STRUCTURE) if self.cfs else None
         extras = {
             "deadlocks": float(self.lock_space.deadlocks),
@@ -591,32 +534,7 @@ class Sysplex:
             extras["false_contention_rate"] = lock_struct.false_contention_rate()
             extras["cf_lock_requests"] = float(lock_struct.requests)
         if self.tracer is not None:
-            extras.update(
-                attribution_extras(self.tracer, start=start, end=self.sim.now)
-            )
-        return RunResult(
-            label=label,
-            duration=duration,
-            completed=completed,
-            throughput=completed / duration if duration > 0 else 0.0,
-            response_mean=rt.mean,
-            response_p50=rt_p50,
-            response_p90=rt_p90,
-            response_p95=rt_p95,
-            response_p99=rt_p99,
-            cpu_utilization={
-                name: _window_util(
-                    inst.node.cpu.engines,
-                    busy0.get(name, 0.0),
-                    inst.node.cpu.n_cpus,
-                )
-                for name, inst in self.instances.items()
-                if inst.node.alive
-            },
-            cf_utilization=cf_util,
-            extras=extras,
-            events=self.injector.log_events(),
-            sim_events=(
-                self.sim.events_processed - getattr(self, "_events_start", 0)
-            ),
-        )
+            extras.update(attribution_extras(
+                self.tracer, start=window.start, end=self.sim.now))
+        return window.result(label, extras,
+                             events=self.injector.log_events())

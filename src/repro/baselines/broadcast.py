@@ -117,8 +117,9 @@ class BroadcastCluster(Cluster):
 
     def _write_page(self, member: Member, page: int) -> Generator:
         """Commit-time update: bump version, broadcast invalidations."""
-        self._page_version[page] = self._page_version.get(page, 0) + 1
-        member.buffers.seen[page] = self._page_version[page]
+        version = self._page_version.get(page, 0) + 1
+        self._page_version[page] = version
+        member.buffers.install(page, version)
         xcfg = self.config.xcf
         node = member.node
         targets = [m for m in self.members

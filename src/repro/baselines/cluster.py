@@ -9,6 +9,10 @@ system a transaction touched, failed/completed accounting and the
 measured :class:`~repro.metrics.Window`.  A baseline fills in the
 home system, the pool, the page read and the commit, and may replace
 the lock transport and how an access travels.
+
+A cluster runs on a plain ``Simulator()``, which never collapses: the
+execution profile is a sysplex option, and baseline payloads are the
+same under either profile.
 """
 
 from __future__ import annotations

@@ -26,13 +26,14 @@ response, not the command, is what was lost).  With the default
 ``request_timeout=None`` each command makes one plain attempt — no
 extra events, no behavioural drift for non-chaos runs.
 
-**Two sync paths.**  Under the ``sweep`` profile a port runs the
+**Two sync paths.**  On a collapsing simulator (``Simulator(collapse=
+True)``, which the ``sweep`` profile builds) a port runs the
 *collapsed* frame: the same instants, resource accounting and
 ``cf.sync``/``cf.service`` spans as the general path in at most 3
 calendar events instead of 8 (see :meth:`CfPort.sync`); a stage whose
 end would be the next event anyway takes none.  Only redrive
-(``request_timeout`` set) keeps a ``sweep`` port on the general path;
-``verify`` always runs it.
+(``request_timeout`` set) keeps such a port on the general path; a
+simulator that does not collapse (``verify``) always runs it.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ class CfPort:
 
     def __init__(self, node: SystemNode, cf: CouplingFacility,
                  links: LinkSet, config: CfConfig, trace=None,
-                 retry_rng: Optional[np.random.Generator] = None,
-                 collapse: bool = False):
+                 retry_rng: Optional[np.random.Generator] = None):
         self.node = node
         self.cf = cf
         self.links = links
@@ -89,10 +89,11 @@ class CfPort:
         self._cmd_service = config.cmd_service
         self._data_cmd_service = config.data_cmd_service
         self._signal_latency = config.signal_latency
-        #: the collapse gate: the collapsed frame engages only when there
-        #: is no request-level robustness (chaos) for it to hide; it
-        #: records the same spans as the general path
-        self._collapse = collapse and config.request_timeout is None
+        #: the collapse gate: the collapsed frame engages on a collapsing
+        #: simulator only when there is no request-level robustness
+        #: (chaos) for it to hide; it records the same spans as the
+        #: general path
+        self._collapse = node.sim.collapse and config.request_timeout is None
 
     # -- internals ----------------------------------------------------------
     def _service(self, fn: Callable[[], Any], data: bool, signal_wait: bool,
@@ -239,9 +240,7 @@ class CfPort:
             sim = self.sim
             cpu = self.node.cpu
             engines = cpu.engines
-            ereq = None
-            if not engines.claim():
-                ereq = engines.request()
+            ereq = engines.acquire()
             start = -1.0
             try:
                 if ereq is not None:
@@ -288,9 +287,7 @@ class CfPort:
                     ctr = cf.trace
                     cspan = -1 if ctr is None else ctr.begin("cf.service")
                     procs = cf.processors
-                    preq = None
-                    if not procs.claim():
-                        preq = procs.request()
+                    preq = procs.acquire()
                     try:
                         if preq is not None:
                             yield preq
@@ -303,10 +300,7 @@ class CfPort:
                             raise CfFailedError(cf.name)
                         cf.commands_executed += 1
                     finally:
-                        if preq is None:
-                            procs.unclaim()
-                        else:
-                            preq.cancel()
+                        procs.drop(preq)
                         if ctr is not None:
                             ctr.end(cspan)
                     # structure mutation at the exact
@@ -330,10 +324,7 @@ class CfPort:
             finally:
                 if start >= 0.0:
                     cpu.busy_seconds += sim._now - start
-                if ereq is None:
-                    engines.unclaim()
-                else:
-                    ereq.cancel()
+                engines.drop(ereq)
                 if tr is not None:
                     tr.end(span)
             self.sync_ops += 1

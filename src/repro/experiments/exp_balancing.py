@@ -87,8 +87,7 @@ def run_case_spec(spec: RunSpec):
         gen = _make_generator(owner, config, trace, owner)
         _prewarm_partitioned(owner, gen, config)
     else:
-        owner = Sysplex(config, router_policy=case,
-                        collapse=spec.options.profile == "sweep")
+        owner = Sysplex(config, spec.options.replace(router_policy=case))
         gen = _make_generator(owner, config, trace, owner.router)
         _prewarm_sysplex(owner, gen, config)
     return _measure(owner, gen, spec.offered_tps_per_system, spec.duration,

@@ -34,13 +34,6 @@ class CpuComplex:
         self._speed = config.speed
         self.busy_seconds = 0.0  # inflated engine-seconds actually burned
         self.offline = False
-        #: event-collapse mode, set by the sysplex builder from the run's
-        #: profile (``sweep``): an idle engine is claimed event-free (no
-        #: grant event) on :meth:`consume`.  Timing and busy-area
-        #: accounting are identical; only same-instant interleaving moves,
-        #: the same statistically-neutral trade the collapsed CF sync
-        #: frame makes (see repro.cf.commands.CfPort.sync).
-        self.collapse = False
         #: >1.0 while the complex is degraded ("sick but not dead"): every
         #: CPU-second takes ``sick_factor`` times longer, but the system
         #: stays alive, heartbeats, and keeps accepting work — the hard
@@ -52,17 +45,17 @@ class CpuComplex:
         """Process step: burn ``cpu_seconds`` of reference-engine work.
 
         Queues for an engine, holds it for the MP-inflated duration, and
-        releases.  Yields from inside a process.
+        releases.  Yields from inside a process.  On a collapsing
+        simulator an idle engine is held with no grant event
+        (:meth:`Resource.acquire <repro.simkernel.Resource.acquire>`):
+        timing and busy-area accounting are identical, only same-instant
+        interleaving moves, the statistically neutral trade the collapsed
+        CF sync frame makes.
         """
         if cpu_seconds <= 0:
             return
-        # collapse mode: claim an idle engine as a scalar hold — no grant
-        # event, no Request allocation — halving the event count of the
-        # uncontended dispatch; a busy engine queues exactly as before
         engines = self.engines
-        req = None
-        if not (self.collapse and engines.claim()):
-            req = engines.request(priority)
+        req = engines.acquire(priority)
         try:
             if req is not None:
                 yield req
@@ -77,10 +70,7 @@ class CpuComplex:
             if not sim.advance_to(t_end):
                 yield sim.timeout_at(t_end)
         finally:
-            if req is None:
-                engines.unclaim()
-            else:
-                req.cancel()
+            engines.drop(req)
 
     # -- degradation (sick but not dead) -------------------------------------
     def degrade(self, factor: float) -> None:

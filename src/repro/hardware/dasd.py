@@ -40,10 +40,6 @@ class DasdDevice:
         self._mu = float(np.log(config.service_mean) - 0.5 * sigma * sigma)
         self._sigma = sigma
         self.io_count = 0
-        #: event-collapse mode (set by the sysplex builder): an idle path
-        #: is claimed as a scalar hold, so an uncontended I/O costs one
-        #: calendar event (the service timeout) instead of two.
-        self.collapse = False
         # RESERVE state: holder token or None, plus FIFO of waiting events.
         self._reserve_holder: Optional[object] = None
         self._reserve_queue: List[tuple] = []
@@ -57,12 +53,12 @@ class DasdDevice:
 
         ``priority`` orders the path queue (lower = first); background
         writers (castout, deferred write) run at lower priority so they
-        never starve demand reads.
+        never starve demand reads.  On a collapsing simulator an idle path
+        is held with no grant event, so an uncontended I/O costs one
+        calendar event (the service timeout) instead of two.
         """
         paths = self.paths
-        req = None
-        if not (self.collapse and paths.claim()):
-            req = paths.request(priority)
+        req = paths.acquire(priority)
         try:
             if req is not None:
                 yield req
@@ -73,10 +69,7 @@ class DasdDevice:
             self.io_count += 1
             yield self.sim.timeout(t)
         finally:
-            if req is None:
-                paths.unclaim()
-            else:
-                req.cancel()
+            paths.drop(req)
 
     # -- path availability ------------------------------------------------------
     def fail_path(self) -> None:

@@ -280,16 +280,13 @@ class XesServices:
     """Sysplex-wide structure registry and connection manager."""
 
     def __init__(self, sim: Simulator, config: CfConfig, trace=None,
-                 streams=None, collapse: bool = False):
+                 streams=None):
         self.sim = sim
         self.config = config
         self.trace = trace  # Tracer or None; threaded into every CfPort
         #: RandomStreams or None; with request-level robustness enabled
         #: each system's ports share a seeded backoff-jitter stream
         self.streams = streams
-        #: per-sysplex CF-command collapse policy, threaded into every
-        #: CfPort (each port still gates it on request-level robustness)
-        self.collapse = collapse
         self.facilities: List[CouplingFacility] = []
         #: structure name -> DuplexPair for every duplexed structure
         self.duplex_pairs: Dict[str, DuplexPair] = {}
@@ -340,7 +337,7 @@ class XesServices:
         if self.streams is not None and self.config.request_timeout is not None:
             retry_rng = self.streams.stream(f"cfretry-{node.name}")
         return CfPort(node, cf, links, self.config, trace=self.trace,
-                      retry_rng=retry_rng, collapse=self.collapse)
+                      retry_rng=retry_rng)
 
     def connect(self, node: SystemNode, structure_name: str,
                 on_loss: Optional[Callable[[], None]] = None) -> XesConnection:

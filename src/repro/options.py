@@ -14,13 +14,15 @@ the public API one typed, hashable, JSON-serializable object that
 Execution profiles
 ------------------
 
-``profile`` is the one execution knob.  Both profiles run the same
-single-heap kernel; they differ only in whether the model may collapse
-events:
+``profile`` is the one execution knob.  :class:`~repro.sysplex.Sysplex`
+turns it into one flag, ``Simulator(collapse=...)``; no other code
+translates it.  Both profiles run the same single-heap kernel and the same
+cost model; they differ only in whether events may collapse:
 
-* ``"sweep"`` (the default) — event collapsing on: the collapsed CF
-  sync frame, scalar holds on idle engines, subchannels and DASD paths,
-  and no terminal events for processes nobody waits on.  Statistically
+* ``"sweep"`` (the default) — a collapsing simulator: the collapsed CF
+  sync frame, scalar holds on idle engines, subchannels, CF processors,
+  region tasks and every DASD device's paths (farm, log and couple data
+  sets), and no terminal events for processes nobody waits on.  Statistically
   indistinguishable from ``verify`` (and perfectly deterministic per
   spec hash), but *not* byte-identical to it at saturation.
   Experiments, fuzzing and chaos runs use this.

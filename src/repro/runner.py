@@ -10,8 +10,8 @@ These are the functions behind the :func:`repro.run` facade; each returns
 was deprecated in 1.1 and removed in 2.0.)
 
 The options bundle also carries the execution profile:
-``RunOptions(profile="sweep")`` (the default) runs with CF-command event
-collapsing — fast and statistically neutral; ``profile="verify"`` runs
+``RunOptions(profile="sweep")`` (the default) runs on a collapsing
+simulator — fast and statistically neutral; ``profile="verify"`` runs
 the golden no-collapse path, byte-identical to historical results.  See
 :mod:`repro.options`.
 """
@@ -45,14 +45,12 @@ def build_loaded_sysplex(config: SysplexConfig,
     parameters; ``trace`` optionally replays a recorded demand trace.
     With ``options.tracing`` the transaction-level span tracer is
     attached (see :mod:`repro.trace`), making per-category overhead
-    attribution available from ``collect()``.  The options' execution
-    profile picks the collapse mode (``"sweep"`` = collapse,
-    ``"verify"`` = none).
+    attribution available from ``collect()``.  The options go to
+    :class:`~repro.sysplex.Sysplex` whole, which turns their execution
+    profile into its simulator's collapse flag.
     """
     opts = options if options is not None else RunOptions()
-    plex = Sysplex(config, monitoring=opts.monitoring,
-                   router_policy=opts.router_policy, tracing=opts.tracing,
-                   collapse=opts.profile == "sweep")
+    plex = Sysplex(config, opts)
     gen = OltpGenerator(
         plex.sim,
         config.oltp,

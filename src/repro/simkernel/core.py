@@ -206,7 +206,7 @@ class Process(Event):
                 sim._active_process = None
                 self._cb = None
                 if self._state == _PENDING:
-                    if sim._elide_done and not self.callbacks:
+                    if sim.collapse and not self.callbacks:
                         # collapse mode, nobody waiting: the terminal event
                         # would pop with no callbacks, so skip the calendar
                         # and let any later ``yield process`` read the value
@@ -324,15 +324,17 @@ class AllOf(Condition):
 class Simulator:
     """Owns the event calendar and the simulated clock."""
 
-    def __init__(self):
+    def __init__(self, collapse: bool = False):
         #: the calendar: a heap of ``(when, priority, seq, event)`` tuples
         self._queue: list = []
         self._now: float = 0.0
         self._seq = 0
-        #: collapse mode (set by the model layer, never by the kernel):
-        #: a finishing process nobody waits on skips its terminal event.
-        #: Off by default — the golden schedule keeps every terminal.
-        self._elide_done: bool = False
+        #: collapse mode, the run's one execution-profile flag: a finishing
+        #: process nobody waits on skips its terminal event, and
+        #: :meth:`Resource.acquire <repro.simkernel.resources.Resource.acquire>`
+        #: holds an idle unit with no grant event.  Off by default — the
+        #: golden schedule keeps every terminal and every grant.
+        self.collapse = collapse
         self._active_process: Optional[Process] = None
         #: observers of the process lifecycle (see add_process_watcher);
         #: empty by default so the hot resume path pays one falsy check

@@ -4,7 +4,10 @@
 priority-ordered) wait queue; models CPU engines, channel paths, link
 subchannels and CF processors.  A :class:`Request` is its claim: yield it
 to wait for the grant, ``cancel()`` it to release the unit or to withdraw
-from the queue.
+from the queue.  :meth:`Resource.acquire` makes the one choice the
+execution profile asks for: on a collapsing simulator a free unit is held
+as a bare count, with no Request and no grant event; :meth:`Resource.drop`
+releases either kind.
 
 The model's queues of work (CF list structures, the JES spool) are model
 objects of their own, so the kernel has no store or level primitive.
@@ -150,6 +153,27 @@ class Resource:
         self._last_change = now
         self._held = held + 1
         return True
+
+    def acquire(self, priority: int = NORMAL):
+        """Hold one unit the way the run's profile says.
+
+        Under ``sim.collapse`` a free unit is taken by :meth:`claim` and
+        ``None`` is returned: there is nothing to wait for.  Otherwise,
+        and whenever the resource is busy or contended, the returned
+        :meth:`request` is yielded for its grant.  Release with
+        :meth:`drop`.
+        """
+        if self.sim.collapse and self.claim():
+            return None
+        return self.request(priority)
+
+    def drop(self, req) -> None:
+        """Release what :meth:`acquire` returned: a scalar hold (``None``)
+        or a request, granted or still queued."""
+        if req is None:
+            self.unclaim()
+        else:
+            self._cancel(req)
 
     def unclaim(self) -> None:
         """Release one :meth:`claim` hold (grants to waiters if any)."""

@@ -92,13 +92,10 @@ class TransactionManager:
             txn.done.succeed(None)  # closed-loop terminal moves on
 
     def _run(self, txn) -> Generator:
-        # collapse mode: a region below its MPL admits the task as a
-        # scalar hold — no admission grant event; a full region queues
-        # through a real request exactly as before
+        # collapse mode: a region below its MPL admits the task with no
+        # admission grant event; a full region queues exactly as before
         tasks = self.tasks
-        req = None
-        if not (self.node.cpu.collapse and tasks.claim()):
-            req = tasks.request()
+        req = tasks.acquire()
         tr = self.trace
         try:
             if req is not None:
@@ -187,10 +184,7 @@ class TransactionManager:
         finally:
             if tr is not None:
                 tr.unbind()
-            if req is None:
-                tasks.unclaim()
-            else:
-                req.cancel()
+            tasks.drop(req)
 
 
 class SysplexRouter:

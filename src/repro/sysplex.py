@@ -1,13 +1,16 @@
 """The Parallel Sysplex builder: wires every component of Figure 1 and 2.
 
-``Sysplex(config)`` constructs the full stack — sysplex timer, shared
-DASD, couple data sets, coupling facilities with lock/cache/list
+``Sysplex(config, options)`` constructs the full stack — sysplex timer,
+shared DASD, couple data sets, coupling facilities with lock/cache/list
 structures, per-system MVS services (heartbeat/SFM, WLM, ARM, XES)
 and per-system subsystems (IRLM-like lock manager, buffer manager, log
 manager, database manager, transaction manager) — and connects the
 failure/recovery plumbing so that killing a :class:`SystemNode` exercises
 the paper's whole §2.5 story: heartbeat detection, fencing, retained
 locks, ARM-driven restart, peer recovery, workload redistribution.
+``options`` (a :class:`~repro.options.RunOptions`, default ``RunOptions()``)
+sets monitoring, routing, tracing and the execution profile; the profile
+becomes the simulator's one ``collapse`` flag here and nowhere else.
 
 ``add_system()`` implements §2.4's non-disruptive growth: a new member
 joins a running sysplex and starts attracting work through WLM.
@@ -34,6 +37,7 @@ from .mvs.cds import CoupleDataSet
 from .mvs.heartbeat import SysplexMonitor
 from .mvs.wlm import WorkloadManager
 from .mvs.xes import XesServices
+from .options import RunOptions
 from .simkernel import MetricSet, RandomStreams, Simulator
 from .subsystems.buffermgr import BufferManager, CastoutEngine
 from .subsystems.database import DatabaseManager
@@ -74,26 +78,21 @@ class Sysplex:
     """A fully wired Parallel Sysplex simulation."""
 
     def __init__(self, config: SysplexConfig,
-                 monitoring: bool = True,
-                 router_policy: str = "threshold",
-                 tracing: bool = False,
-                 collapse: bool = False):
+                 options: Optional[RunOptions] = None):
         self.config = config
-        # collapse=True (the ``sweep`` profile) turns on event merging on
-        # the CF command path and the uncontended CPU/DASD dispatch
-        # (statistically neutral, NOT byte-identical at saturation); the
-        # tracer only observes, so it runs the same merged events
-        self._collapse_events = collapse
-        self.sim = Simulator()
-        # collapse also elides terminal events of processes nobody waits
-        # on (fire-and-forget transactions, shipments, castout I/O)
-        self.sim._elide_done = self._collapse_events
+        opts = options if options is not None else RunOptions()
+        # the ``sweep`` profile collapses events: the CF command path,
+        # idle engine/DASD-path/task holds and the terminal events of
+        # processes nobody waits on (statistically neutral, NOT
+        # byte-identical at saturation); the tracer only observes, so it
+        # runs the same collapsed events
+        self.sim = Simulator(collapse=opts.profile == "sweep")
         self.streams = RandomStreams(config.seed)
         self.metrics = MetricSet(self.sim)
         # transaction-level tracing (overhead attribution): a passive
         # observer — when off, no tracer object exists and every
         # instrumentation point reduces to one `is None` test
-        self.tracer = Tracer(self.sim) if tracing else None
+        self.tracer = Tracer(self.sim) if opts.tracing else None
         #: the canonical failure injector for this sysplex: experiments
         #: and the chaos engine schedule outages through it so the event
         #: timeline lands on the RunResult (zero sim impact when unused)
@@ -108,9 +107,6 @@ class Sysplex:
         farm_rng = self.streams.stream("dasd")
         self.farm = DasdFarm(self.sim, config.dasd, farm_rng,
                              n_devices=config.n_dasd)
-        if self._collapse_events:
-            for dev in self.farm.devices:
-                dev.collapse = True
         self.cds = CoupleDataSet(
             self.sim,
             DasdDevice(self.sim, config.dasd, farm_rng, "cds-primary"),
@@ -132,7 +128,7 @@ class Sysplex:
                 LIST_STRUCTURE, n_headers=8, n_locks=4),
         }
         self.xes = XesServices(self.sim, config.cf, trace=self.tracer,
-                               streams=self.streams, collapse=collapse)
+                               streams=self.streams)
         if config.data_sharing and config.n_cfs > 0:
             for i in range(config.n_cfs):
                 cf = CouplingFacility(self.sim, config.cf, name=f"CF{i + 1:02d}")
@@ -150,7 +146,7 @@ class Sysplex:
                             name, self._new_structure[name], self.cfs[1])
 
         # --- sysplex-wide services --------------------------------------------
-        self.monitoring = monitoring
+        self.monitoring = opts.monitoring
         self.monitor = SysplexMonitor(self.sim, config.xcf, self.cds)
         self.wlm = WorkloadManager(self.sim, config.wlm,
                                    self.streams.stream("wlm"))
@@ -172,7 +168,7 @@ class Sysplex:
             [inst.tm for inst in self.instances.values()],
             self.wlm,
             config.xcf,
-            policy=router_policy,
+            policy=opts.router_policy,
             trace=self.tracer,
             metrics=self.metrics,
         )
@@ -198,7 +194,6 @@ class Sysplex:
         cfg = self.config
         node = SystemNode(self.sim, cfg, index,
                           tod=self.timer.attach(drift_ppm=(index - 8) * 2.0))
-        node.cpu.collapse = self._collapse_events
         for cf in self.cfs:
             node.cf_links[cf.name] = LinkSet(
                 self.sim, cfg.link, name=f"{node.name}-{cf.name}"

@@ -119,3 +119,22 @@ def test_broadcast_stale_readers_reread_dasd():
     drive(cluster, config, seconds=0.8)
     # version-stale pool entries forced DASD rereads
     assert cluster.farm.total_ios > 0
+
+
+def test_broadcast_pools_stay_within_their_capacity():
+    """A committed write records its page the way a read does, so a
+    pool under replacement pressure holds at most ``buffer_pages``
+    pages, every one of them in its first-in first-out order."""
+    config = SysplexConfig(
+        n_systems=2,
+        data_sharing=False,
+        n_cfs=0,
+        db=DatabaseConfig(n_pages=12_000, buffer_pages=200),
+    )
+    cluster = BroadcastCluster(config)
+    drive(cluster, config, seconds=0.5)
+    for member in cluster.members:
+        pool = member.buffers
+        assert len(pool.seen) == config.db.buffer_pages
+        assert set(pool.seen) == set(pool.order)
+        assert len(pool.order) == len(pool.seen)

@@ -56,9 +56,8 @@ def test_second_waiter_sees_the_old_now():
     """Two processes wait on one event and the first burns CPU: the
     event has two callbacks, so the burn yields and the second process
     still runs at the instant the event fired."""
-    sim = Simulator()
+    sim = Simulator(collapse=True)
     cpu = CpuComplex(sim, CpuConfig())
-    cpu.collapse = True
     gate = sim.event()
     seen = []
 
@@ -131,8 +130,8 @@ def _counted_run(run, monkeypatch, skip):
     sims = []
     init = Simulator.__init__
 
-    def tracking_init(self):
-        init(self)
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         sims.append(self)
 
     with monkeypatch.context() as m:

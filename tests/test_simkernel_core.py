@@ -376,7 +376,7 @@ def test_deterministic_replay():
 
 # -------------------------------------------------- terminal-event elision ----
 def test_elide_done_skips_terminal_event_when_unwatched():
-    """With _elide_done set, a finishing process nobody waits on is
+    """On a collapsing simulator, a finishing process nobody waits on is
     marked processed directly — no terminal calendar event."""
 
     def fire_and_forget(sim):
@@ -385,8 +385,7 @@ def test_elide_done_skips_terminal_event_when_unwatched():
     baseline = Simulator()
     baseline.process(fire_and_forget(baseline), name="p")
     baseline.run()
-    elided = Simulator()
-    elided._elide_done = True
+    elided = Simulator(collapse=True)
     proc = elided.process(fire_and_forget(elided), name="p")
     elided.run()
     assert elided.events_processed == baseline.events_processed - 1
@@ -395,8 +394,7 @@ def test_elide_done_skips_terminal_event_when_unwatched():
 
 def test_elide_done_keeps_terminal_for_waiters():
     """A watched process still delivers its value through the calendar."""
-    sim = Simulator()
-    sim._elide_done = True
+    sim = Simulator(collapse=True)
     got = []
 
     def child():
@@ -414,8 +412,7 @@ def test_elide_done_keeps_terminal_for_waiters():
 
 def test_elide_done_late_waiter_sees_value():
     """Yielding an already-elided process feeds its value straight back."""
-    sim = Simulator()
-    sim._elide_done = True
+    sim = Simulator(collapse=True)
 
     def child():
         yield sim.timeout(1.0)
@@ -437,8 +434,7 @@ def test_elide_done_late_waiter_sees_value():
 def test_elide_done_failures_still_surface():
     """Elision only applies to clean exits: an unwatched failure must
     still raise out of run() exactly as the golden kernel does."""
-    sim = Simulator()
-    sim._elide_done = True
+    sim = Simulator(collapse=True)
 
     def boom():
         yield sim.timeout(1.0)

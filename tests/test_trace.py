@@ -127,7 +127,7 @@ def test_disabled_tracing_creates_no_tracer_and_no_watchers():
 
 
 def test_enabled_tracing_records_spans_for_every_stage():
-    plex = Sysplex(small_cfg(), tracing=True)
+    plex = Sysplex(small_cfg(), RunOptions(tracing=True))
     from repro.workloads.oltp import OltpGenerator
 
     gen = OltpGenerator(
@@ -248,7 +248,7 @@ def test_stage_categories_match_analysis_contract():
 
 
 def test_attribution_extras_window_filters_warmup():
-    plex = Sysplex(small_cfg(), tracing=True)
+    plex = Sysplex(small_cfg(), RunOptions(tracing=True))
     from repro.workloads.oltp import OltpGenerator
 
     gen = OltpGenerator(

@@ -140,8 +140,7 @@ def run_point(specs, workers, depth, latency_ms):
     if latency_ms > 0:
         relay = LatencyRelay(addr, latency_ms / 1000.0)
         connect = relay.address
-    launcher = LocalLauncher(count=workers, pythonpath=[HERE],
-                             cache_mode="off")
+    launcher = LocalLauncher(count=workers, pythonpath=[HERE])
     t_first = None
     n = 0
     try:

@@ -320,7 +320,9 @@ def run_campaign(specs: Sequence[RunSpec], root: Path, *,
         "computed": computed,
         "cache_hits": cached_hits,
         "manifest": counts,
-        "complete": counts.get("done", 0) >= unique,
+        # over this grid's hashes: a shared manifest holds other grids' too
+        "complete": all(manifest.status_of(h) == "done"
+                        for h in set(hashes)),
         "wall_seconds": round(wall, 3),
         "points_per_second": round(len(run_specs) / wall, 3) if wall > 0
         else None,

@@ -12,13 +12,11 @@ lost one.
   address parsing;
 * :mod:`repro.distrib.server` — :class:`~repro.distrib.server.
   SweepServer`, the submitter-side task queue: keeps up to ``depth``
-  tasks in flight per connected worker, collects results, answers
-  protocol-level cache reads, and requeues the outstanding tasks of any
-  worker that disconnects mid-run;
+  tasks in flight per connected worker, collects results, and requeues
+  the outstanding tasks of any worker that disconnects mid-run;
 * :mod:`repro.distrib.worker` — the worker client loop and its CLI
   (``python -m repro.distrib.worker --connect HOST:PORT``), which pulls
-  tasks, answers from a content-addressed cache (shared filesystem or
-  over the wire) when it can, and streams canonical payloads back;
+  tasks, simulates each one, and streams canonical payloads back;
 * :mod:`repro.distrib.launcher` — who starts the fleet:
   :class:`~repro.distrib.launcher.LocalLauncher` subprocesses, or
   :class:`~repro.distrib.launcher.CommandLauncher` command lines under
@@ -27,7 +25,8 @@ lost one.
   fleets).
 
 Nothing here knows about experiments or simulators beyond
-:func:`repro.executor.run_task`; the protocol carries only JSON.
+:func:`repro.executor.run_task`, nor about the result cache, which the
+submitter alone reads and writes; the protocol carries only JSON.
 """
 
 # NOTE: .worker is deliberately not imported here — it is an executable

@@ -122,20 +122,17 @@ class LocalLauncher(WorkerLauncher):
     """Spawn ``count`` worker subprocesses on this host."""
 
     def __init__(self, count: int = 2,
-                 pythonpath: Sequence[Union[str, Path]] = (),
-                 cache_mode: str = "auto"):
+                 pythonpath: Sequence[Union[str, Path]] = ()):
         super().__init__()
         self.count = max(1, int(count))
         self.pythonpath = list(pythonpath)
-        self.cache_mode = cache_mode
 
     def launch(self, address: str) -> List:
         env = worker_env(self.pythonpath)
         for w in range(self.count):
             self._handles.append(subprocess.Popen(
                 [sys.executable, "-m", "repro.distrib.worker",
-                 "--connect", address, "--name", f"worker-{w}",
-                 "--cache-mode", self.cache_mode],
+                 "--connect", address, "--name", f"worker-{w}"],
                 env=env,
             ))
         return list(self._handles)
@@ -150,7 +147,7 @@ class CommandLauncher(WorkerLauncher):
 
         CommandLauncher(
             "{python} -m repro.distrib.worker --connect {address} "
-            "--name {name} --cache-mode proto", count=2)
+            "--name {name}", count=2)
 
     Processes inherit :func:`worker_env`, so a template that just execs
     a worker needs no PYTHONPATH plumbing of its own.  A slot whose
@@ -294,10 +291,9 @@ class SshLauncher(CommandLauncher):
     Each slot runs ``exec ssh -o BatchMode=yes <host> <worker command>``
     under :class:`CommandLauncher`'s supervisor.  The worker command
     starts ``python -m repro.distrib.worker`` from ``remote_cwd`` (or
-    the login directory) with ``remote_pythonpath`` and
-    ``--cache-mode proto``, because remote hosts usually cannot see the
-    submitter's ``.runcache`` — they read it over the wire instead.
-    Bespoke bootstraps use a :class:`CommandLauncher` template.
+    the login directory) with ``remote_pythonpath``.  A remote host
+    needs no view of the submitter's ``.runcache``: workers never read
+    it.  Bespoke bootstraps use a :class:`CommandLauncher` template.
 
     Teardown SIGTERMs the local ssh client, which drops the connection;
     the server requeues anything unfinished.  ``connect_host`` rewrites
@@ -314,7 +310,7 @@ class SshLauncher(CommandLauncher):
         self.hosts = _parse_hosts(hosts)
         super().__init__(
             "{python} -m repro.distrib.worker --connect {address} "
-            "--name {name} --cache-mode proto",
+            "--name {name}",
             count=sum(n for _, n in self.hosts))
         self.python = python
         self.remote_cwd = remote_cwd

@@ -4,19 +4,14 @@ Every message is one JSON object in compact form on one UTF-8 line,
 at most ``MAX_FRAME`` bytes.  The conversation between server and
 worker::
 
-    worker -> {"op": "hello", "worker": "worker-0", "proto": 2}
-    server -> {"op": "welcome", "proto": 2, "depth": 4,
-               "cache": "/path/.runcache" | null, "cache_proto": true}
+    worker -> {"op": "hello", "worker": "worker-0", "proto": 3}
+    server -> {"op": "welcome", "proto": 3, "depth": 4}
     server -> {"op": "task", "id": 7, "spec": {...}}
             | {"op": "tasks", "tasks": [{"id": 7, "spec": {...}}, ...]}
     worker -> {"op": "result", "id": 7, "payload": {...},
-               "cached": false, "seconds": 1.93}
-            | {"op": "results", "results": [{...}, ...]}
+               "seconds": 1.93}
             | {"op": "error", "id": 7, "error": "ValueError: ...",
                "traceback": "..."}
-            | {"op": "cache_get", "id": 7, "hash": "<sha256>"}
-              (server -> {"op": "cache_value", "id": 7,
-                          "payload": {...} | null})
     ...                         # repeat until the queue is dry
     worker -> {"op": "bye", "worker": "worker-0", "abandoned": [8, 9]}
               (clean departure: unstarted pipelined tasks go back)
@@ -62,7 +57,7 @@ __all__ = [
 ]
 
 #: The protocol version this build speaks; a peer must speak the same.
-PROTO_VERSION = 2
+PROTO_VERSION = 3
 
 #: Upper bound on one frame (a 64 MiB line is not a message, it is a
 #: bug or an attack on the submitter's memory).

@@ -5,7 +5,8 @@ one sweep and serves them to worker connections.  Dispatch is
 **pipelined**: the server keeps up to ``depth`` tasks in flight per
 worker, so a worker always has its next task buffered locally and never
 idles for a network round trip between points.  Multi-task refills go
-out as one batched ``tasks`` frame, and results may come back batched.
+out as one batched ``tasks`` frame; each result comes back in its own
+frame.
 With a fleet of two or more ``workers`` no worker is refilled past its
 share of the tasks left, one held back: a short sweep is then not
 split statically among the workers as they connect, and its tail,
@@ -14,10 +15,9 @@ worker frees up first.
 A worker whose ``hello`` names another protocol version than this
 server's gets an ``error`` frame and is disconnected.
 
-Workers that cannot see the submitter's filesystem still skip warm
-points: a worker may ask ``{"op": "cache_get", "hash": ...}`` and the
-server answers from its ``.runcache`` — protocol-level cache
-read-through.
+The server knows nothing of the result cache: the submitter answers
+cached specs before they are queued, so every task here is a point to
+compute, and nothing a worker sends names a file on this host.
 
 Fault model (the paper's, scaled down): a worker is allowed to die.  If
 a connection drops with tasks outstanding, they go back on the queue
@@ -46,10 +46,8 @@ from __future__ import annotations
 
 import logging
 import queue
-import re
 import socket
 import threading
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..executor import TaskDone
@@ -73,8 +71,6 @@ DEFAULT_ADDRESS = "127.0.0.1:0"
 #: pull-per-round-trip.
 DEFAULT_DEPTH = 4
 
-_HASH_RE = re.compile(r"[0-9a-f]{8,128}")
-
 #: Seconds to wait for a worker's remaining frames after a send to it
 #: failed; its reader sees EOF as soon as the socket is gone.
 SETTLE_TIMEOUT = 5.0
@@ -91,12 +87,10 @@ class SweepServer:
 
     def __init__(self, tasks: Sequence[Tuple[int, dict]],
                  workers: int,
-                 cache_root: Optional[str] = None,
                  max_resubmits: int = 3,
                  depth: int = DEFAULT_DEPTH):
         self._tasks = list(tasks)
         self._total = len(self._tasks)
-        self._cache_root = cache_root
         self._max_resubmits = max_resubmits
         self._depth = max(1, int(depth))
         #: the fleet size the sweep is launched with
@@ -273,8 +267,6 @@ class SweepServer:
                 "op": "welcome",
                 "proto": PROTO_VERSION,
                 "depth": self._depth,
-                "cache": self._cache_root,
-                "cache_proto": bool(self._cache_root),
             })
             log.info("worker %s connected", worker)
             inbox: "queue.Queue" = queue.Queue()
@@ -368,7 +360,7 @@ class SweepServer:
                 return
             if kind == "err":
                 raise msg
-            if self._handle(worker, msg, in_flight, wfile):
+            if self._handle(worker, msg, in_flight):
                 return
 
     def _room(self) -> int:
@@ -385,22 +377,11 @@ class SweepServer:
         return max(1, min(self._depth, (left - 1) // fleet))
 
     def _handle(self, worker: str, msg,
-                in_flight: Dict[int, Tuple[int, dict]], wfile) -> bool:
-        """Act on one worker frame; True when it was the worker's bye.
-        ``wfile`` is None once the connection can no longer be written."""
+                in_flight: Dict[int, Tuple[int, dict]]) -> bool:
+        """Act on one worker frame; True when it was the worker's bye."""
         op = msg.get("op") if isinstance(msg, dict) else None
         if op in ("result", "error"):
             self._finish(worker, msg, in_flight)
-        elif op == "results":
-            for sub in msg.get("results", ()):
-                self._finish(worker, sub, in_flight)
-        elif op == "cache_get":
-            if wfile is not None:
-                send_message(wfile, {
-                    "op": "cache_value",
-                    "id": msg.get("id"),
-                    "payload": self._cache_lookup(msg.get("hash")),
-                })
         elif op == "bye":
             self._depart(worker, in_flight)
             return True
@@ -424,7 +405,7 @@ class SweepServer:
                 raise exc
             if kind != "msg":
                 raise exc
-            if self._handle(worker, msg, in_flight, None):
+            if self._handle(worker, msg, in_flight):
                 return
 
     def _finish(self, worker: str, msg: dict,
@@ -443,12 +424,10 @@ class SweepServer:
                 f"\n{detail}" if detail else "")
             log.warning("task %d failed on worker %s: %s",
                         index, worker, msg.get("error", "?"))
-            self._deliver(TaskDone(index, None, False, 0.0, error=error))
+            self._deliver(TaskDone(index, None, 0.0, error=error))
         else:
             self._deliver(TaskDone(
-                index, msg["payload"], bool(msg.get("cached")),
-                float(msg.get("seconds", 0.0)),
-            ))
+                index, msg["payload"], float(msg.get("seconds", 0.0))))
 
     def _depart(self, worker: str,
                 in_flight: Dict[int, Tuple[int, dict]]) -> None:
@@ -471,22 +450,13 @@ class SweepServer:
         log.info("worker %s departed cleanly (%d task(s) handed back)",
                  worker, requeued)
 
-    def _cache_lookup(self, content_hash) -> Optional[dict]:
-        """Answer a protocol-level cache read-through request."""
-        if (not self._cache_root or not isinstance(content_hash, str)
-                or not _HASH_RE.fullmatch(content_hash)):
-            return None
-        from ..executor import ResultCache
-
-        return ResultCache(Path(self._cache_root)).get_by_hash(content_hash)
-
     def _requeue(self, task: Tuple[int, dict]) -> None:
         index = task[0]
         with self._lock:
             attempts = self._attempts.get(index, 0)
         if attempts > self._max_resubmits:
             self._deliver(TaskDone(
-                index, None, False, 0.0,
+                index, None, 0.0,
                 error=(f"crashed its worker on every one of {attempts} "
                        "attempt(s)"),
             ))

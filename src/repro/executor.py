@@ -23,13 +23,13 @@ repro.distrib.worker --connect HOST:PORT`` on any host with the repo
 installed can join.
 
 :meth:`WorkQueueBackend.run` takes ``(index, RunSpec)`` pairs (the cache
-misses) and yields one :class:`TaskDone` per task in whatever order the
-tasks complete.  It receives the submitter's :class:`ResultCache` (or
-``None``) so it can offer its root to workers for **read-through**: a
-worker checks the content-addressed store before simulating.  Write-back
-stays with the submitter — :func:`execute_iter` puts every payload into
-its cache as it arrives, so a sweep drained by remote workers leaves the
-local ``.runcache`` as warm as a local run would have.
+misses, deduplicated) and yields one :class:`TaskDone` per task in
+whatever order the tasks complete.  The submitter is the only reader and
+the only writer of the result cache: :func:`execute_iter` answers every
+cached spec before anything is queued, and puts every computed payload
+into its cache as it arrives, so a sweep drained by remote workers
+leaves the local ``.runcache`` as warm as a local run would have.
+Workers never see the cache.
 
 Determinism contract: for a given spec hash, the returned result is
 bit-identical whether it was computed in-process, in a work-queue
@@ -108,21 +108,14 @@ def canonical_payload(spec: RunSpec) -> Any:
     return _result_from(json.loads(canonical_json(_payload_from(spec.run()))))
 
 
-def run_task(spec_dict: dict, cache_root: Optional[str] = None
-             ) -> Tuple[dict, bool]:
-    """Run one spec, in-process or in a worker: ``(payload, cached)``.
+def run_task(spec_dict: dict) -> dict:
+    """Run one spec, in-process or in a worker, and return its payload.
 
     Takes and returns plain JSON-shaped data so the only things crossing
     a process or socket boundary are bytes — no code objects, no live
-    simulators.  With ``cache_root``, the worker reads through the
-    content-addressed store first and only simulates on a miss.
+    simulators.
     """
-    spec = RunSpec.from_dict(spec_dict)
-    if cache_root:
-        hit = ResultCache(cache_root).get(spec)
-        if hit is not None:
-            return hit, True
-    result = spec.run()
+    result = RunSpec.from_dict(spec_dict).run()
     # A finished simulation is cyclic garbage (processes, generators,
     # events), and run_oltp pauses the cycle collector over the next
     # point's run.  Free it now, while little else is live, so that it
@@ -131,8 +124,7 @@ def run_task(spec_dict: dict, cache_root: Optional[str] = None
     # later pass, so collect until a pass finds nothing.
     while gc.collect():
         pass
-    payload = json.loads(canonical_json(_payload_from(result)))
-    return payload, False
+    return json.loads(canonical_json(_payload_from(result)))
 
 
 class ResultCache:
@@ -160,10 +152,8 @@ class ResultCache:
     def get_by_hash(self, content_hash: str) -> Optional[dict]:
         """Look up a payload by its spec's content hash directly.
 
-        This is the form the work-queue server uses to answer protocol
-        ``cache_get`` requests from workers that cannot see this
-        filesystem, and what the executor uses when it already holds
-        the hash (so a spec is never canonicalised twice).
+        This is what the executor uses when it already holds the hash,
+        so a spec is never canonicalised twice.
         """
         try:
             with open(self.root / f"{content_hash}.json", "r",
@@ -310,7 +300,6 @@ class TaskDone(NamedTuple):
 
     index: int
     payload: Optional[dict]
-    cached: bool
     seconds: float
     error: Optional[str] = None
     exc: Optional[BaseException] = None
@@ -319,16 +308,15 @@ class TaskDone(NamedTuple):
 def _run_in_process(tasks: Sequence[Tuple[int, RunSpec]]
                     ) -> Iterator[TaskDone]:
     """Run each task in the calling process, in order."""
-    # the submitter already consulted the cache for every task
     for index, spec in tasks:
         t0 = time.perf_counter()
         try:
-            payload, cached = run_task(spec.to_dict())
+            payload = run_task(spec.to_dict())
         except Exception as exc:  # noqa: BLE001 - caller's policy
-            yield TaskDone(index, None, False, time.perf_counter() - t0,
+            yield TaskDone(index, None, time.perf_counter() - t0,
                            error=f"{type(exc).__name__}: {exc}", exc=exc)
             continue
-        yield TaskDone(index, payload, cached, time.perf_counter() - t0)
+        yield TaskDone(index, payload, time.perf_counter() - t0)
 
 
 class WorkQueueBackend:
@@ -362,16 +350,13 @@ class WorkQueueBackend:
     free port) or ``"unix:/path.sock"``; the default is an ephemeral
     loopback TCP port.  ``pythonpath`` prepends extra entries to the
     spawned workers' ``PYTHONPATH`` (the directory containing
-    :mod:`repro` is always included).  Workers read through the
-    submitter's cache either directly (shared filesystem) or over the
-    protocol (``cache_get``) when they cannot see it — disable both
-    with ``worker_cache=False``.
+    :mod:`repro` is always included).  Workers never read the result
+    cache: the tasks this backend receives are the submitter's misses.
     """
 
     def __init__(self, workers: int = 2,
                  address: Optional[str] = None,
                  spawn: Union[bool, "WorkerLauncher"] = True,
-                 worker_cache: bool = True,
                  max_resubmits: int = 3,
                  pythonpath: Sequence[Union[str, Path]] = (),
                  startup_timeout: float = 60.0,
@@ -379,7 +364,6 @@ class WorkQueueBackend:
         self.workers = max(1, int(workers))
         self.address = address
         self.spawn = spawn
-        self.worker_cache = worker_cache
         self.max_resubmits = max_resubmits
         self.pythonpath = [str(p) for p in pythonpath]
         self.startup_timeout = startup_timeout
@@ -404,15 +388,12 @@ class WorkQueueBackend:
                                  pythonpath=self.pythonpath)
         return None
 
-    def run(self, tasks: Sequence[Tuple[int, RunSpec]],
-            cache: Optional[ResultCache] = None) -> Iterator[TaskDone]:
+    def run(self, tasks: Sequence[Tuple[int, RunSpec]]
+            ) -> Iterator[TaskDone]:
         from .distrib.server import SweepServer
 
-        cache_root = (str(cache.root) if cache is not None
-                      and self.worker_cache else None)
         server = SweepServer(
             [(index, spec.to_dict()) for index, spec in tasks],
-            cache_root=cache_root,
             max_resubmits=self.max_resubmits,
             depth=self.depth,
             workers=self.parallelism(),
@@ -523,7 +504,7 @@ def execute_iter(specs: Sequence[RunSpec],
     if not pending:
         return
     done_stream = (_run_in_process(pending) if backend is None
-                   else backend.run(pending, cache=cache))
+                   else backend.run(pending))
     for done in done_stream:
         fanout = [done.index, *duplicates.get(done.index, ())]
         if done.error is not None:
@@ -541,12 +522,10 @@ def execute_iter(specs: Sequence[RunSpec],
                            error=done.error)
             continue
         if cache is not None:
-            # write-back at the submitter: idempotent (atomic replace of
-            # identical canonical bytes) even if a worker cache-hit
             cache.put(specs[done.index], done.payload)
         for j in fanout:
             yield emit(j, specs[j], _result_from(done.payload),
-                       done.cached, done.seconds if j == done.index else 0.0)
+                       False, done.seconds if j == done.index else 0.0)
 
 
 def execute(specs: Sequence[RunSpec],

@@ -154,6 +154,21 @@ def test_campaign_failures_yield_triage_and_retry(tmp_path):
     assert retry["failed_this_run"] == 2
 
 
+def test_campaign_complete_counts_only_this_grids_points(tmp_path):
+    """Another grid's done points in the same directory do not make
+    this grid's failures complete."""
+    root = tmp_path / "camp"
+    other = [RunSpec(runner=RUNNER, label=f"o{i}", params={"n": i})
+             for i in range(6)]
+    assert run_campaign(other, root, cache=None, stream=None)["complete"]
+
+    summary = run_campaign(tiny_specs(4, boom={1, 3}), root, cache=None,
+                           stream=None)
+    assert summary["manifest"] == {"done": 8, "failed": 2}
+    assert summary["failed_this_run"] == 2
+    assert summary["complete"] is False
+
+
 def test_campaign_dedups_repeated_points(tmp_path):
     spec = tiny_specs(1)[0]
     summary = run_campaign([spec, spec, spec], tmp_path / "camp",

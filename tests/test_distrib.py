@@ -173,29 +173,27 @@ def test_server_raises_when_no_worker_ever_connects():
         server.close()
 
 
-# --------------------------------------------------- shared cache reads ----
-def test_worker_reads_through_the_shared_cache(tmp_path):
-    """Workers answer from the shared store without re-simulating.
+# ------------------------------------------------------- wire traffic ----
+def test_worker_sends_one_frame_per_task(tmp_path, monkeypatch):
+    """A worker sends its hello and one result frame per task, nothing
+    else: the submitter has already answered every cached spec, so the
+    worker asks the wire for nothing.  The cache directory does not
+    exist when the sweep starts, as in a fresh campaign."""
+    import repro.distrib.server as server
 
-    The backend is driven directly (``backend.run``) so the submitter's
-    own cache check cannot mask the worker-side read-through.
-    """
-    spec = probe_specs(1)[0]
-    cache = ResultCache(tmp_path / "rc")
-    execute([spec], cache=cache)  # populate: 1 miss
-    assert cache.misses == 1
+    received = []
+    recv = server.recv_message
 
-    backend = wq(workers=1)
-    done = list(backend.run([(0, spec)], cache=ResultCache(tmp_path / "rc")))
-    assert len(done) == 1
-    assert done[0].cached, "worker should have hit the shared cache"
+    def counting_recv(rfile, *args, **kwargs):
+        msg = recv(rfile, *args, **kwargs)
+        if isinstance(msg, dict):
+            received.append(msg.get("op"))
+        return msg
 
-
-def test_worker_cache_off_recomputes(tmp_path):
-    spec = probe_specs(1)[0]
-    cache = ResultCache(tmp_path / "rc")
-    execute([spec], cache=cache)
-
-    backend = wq(workers=1, worker_cache=False)
-    done = list(backend.run([(0, spec)], cache=ResultCache(tmp_path / "rc")))
-    assert not done[0].cached
+    monkeypatch.setattr(server, "recv_message", counting_recv)
+    specs = probe_specs(5)
+    seen = list(execute_iter(specs, backend=wq(workers=1),
+                             cache=tmp_path / "rc"))
+    assert sorted(c.index for c in seen) == list(range(5))
+    assert not any(c.cached for c in seen)
+    assert sorted(received) == ["hello"] + ["result"] * 5, received

@@ -27,9 +27,14 @@ from repro.distrib import (
     worker_backend,
 )
 from repro.distrib import launcher
-from repro.distrib.launcher import LocalLauncher, _Supervised, worker_env
-from repro.distrib.protocol import connect, recv_message, send_message
-from repro.executor import ResultCache, WorkQueueBackend, execute
+from repro.distrib.launcher import _Supervised, worker_env
+from repro.distrib.protocol import (
+    PROTO_VERSION,
+    connect,
+    recv_message,
+    send_message,
+)
+from repro.executor import WorkQueueBackend, execute
 from repro.runspec import RunSpec, canonical_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,11 +132,14 @@ def test_current_hello_gets_a_welcome():
     server, addr = _server()
     try:
         sock, _r, _w, welcome = _handshake(
-            addr, {"op": "hello", "worker": "t", "proto": 2})
+            addr, {"op": "hello", "worker": "t", "proto": 3})
         assert welcome["op"] == "welcome"
-        assert welcome["proto"] == 2
+        assert PROTO_VERSION == 3
+        assert welcome["proto"] == 3
         assert welcome["depth"] >= 1
         assert "compress" not in welcome
+        # the submitter alone reads the result cache: nothing to offer
+        assert "cache" not in welcome and "cache_proto" not in welcome
         sock.close()
     finally:
         server.close()
@@ -140,12 +148,13 @@ def test_current_hello_gets_a_welcome():
 def test_version_mismatch_gets_an_error_frame():
     server, addr = _server()
     try:
-        for hello in ({"op": "hello", "worker": "old", "proto": 1},
+        for hello in ({"op": "hello", "worker": "old", "proto": 2},
+                      {"op": "hello", "worker": "old", "proto": 1},
                       {"op": "hello", "worker": "old"}):
             sock, rfile, _w, reply = _handshake(addr, hello)
             assert reply["op"] == "error"
             assert reply["error"].startswith(
-                "protocol version mismatch: server speaks 2, worker "
+                "protocol version mismatch: server speaks 3, worker "
                 "offered ")
             assert recv_message(rfile) is None, "server hangs up"
             sock.close()
@@ -191,7 +200,7 @@ def test_garbage_connection_does_not_sink_the_server():
         time.sleep(0.1)
 
         sock2, r2, w2, welcome = _handshake(
-            addr, {"op": "hello", "worker": "rude", "proto": 2})
+            addr, {"op": "hello", "worker": "rude", "proto": PROTO_VERSION})
         send_message(w2, {"op": "what-even-is-this"})
         time.sleep(0.1)
 
@@ -223,20 +232,6 @@ def test_pipeline_depths_are_byte_identical(tmp_path):
         got = execute(specs, backend=backend,
                       cache=tmp_path / f"c-{name}")
         assert _payload_bytes(got) == _payload_bytes(baseline), name
-
-
-def test_protocol_cache_read_through(tmp_path):
-    """Workers with no filesystem view of the cache still get warm hits."""
-    specs = probe_specs(5)
-    cache = ResultCache(tmp_path / "shared")
-    execute(specs, cache=cache)  # warm it
-
-    backend = wq(spawn=LocalLauncher(count=2, pythonpath=[ROOT],
-                                     cache_mode="proto"))
-    tasks = [(i, s) for i, s in enumerate(specs)]
-    dones = list(backend.run(tasks, cache=cache))
-    assert sorted(d.index for d in dones) == list(range(5))
-    assert all(d.cached for d in dones), "proto read-through missed"
 
 
 def test_sigterm_mid_run_is_a_clean_departure(tmp_path):
@@ -347,7 +342,7 @@ def test_fake_worker_bye_then_hang_up_is_a_clean_departure(tmp_path):
     server, addr = _server(6, depth=2)
     try:
         sock, rfile, wfile, welcome = _handshake(
-            addr, {"op": "hello", "worker": "fake", "proto": 2})
+            addr, {"op": "hello", "worker": "fake", "proto": PROTO_VERSION})
         assert welcome["op"] == "welcome"
         first, *rest = [t["id"] for t in recv_message(rfile)["tasks"]]
         sock.sendall(
@@ -394,7 +389,7 @@ def test_short_sweep_is_not_split_statically():
     try:
         for name in ("small", "large"):
             sock, rfile, _wfile, welcome = _handshake(
-                addr, {"op": "hello", "worker": name, "proto": 2})
+                addr, {"op": "hello", "worker": name, "proto": PROTO_VERSION})
             assert welcome["op"] == "welcome"
             sock.settimeout(10)
             conns.append((sock, rfile))
@@ -422,7 +417,7 @@ def test_one_worker_keeps_its_full_pipeline():
     server, addr = _server(7, depth=4, workers=1)
     try:
         sock, rfile, _w, _welcome = _handshake(
-            addr, {"op": "hello", "worker": "only", "proto": 2})
+            addr, {"op": "hello", "worker": "only", "proto": PROTO_VERSION})
         assert _task_ids(recv_message(rfile)) == [0, 1, 2, 3]
         rfile.close()
         sock.close()
@@ -549,7 +544,7 @@ def test_ssh_launcher_remote_command_shape():
         "exec ssh -o BatchMode=yes db-host "
         "'cd /srv/repro && PYTHONPATH=src exec python3.11 -m "
         "repro.distrib.worker --connect submitter.local:4567 "
-        "--name db-host-0 --cache-mode proto'")
+        "--name db-host-0'")
     assert fleet._rewrite("unix:/tmp/x.sock") == "unix:/tmp/x.sock"
 
 

@@ -136,8 +136,8 @@ def test_run_task_frees_the_finished_simulation(monkeypatch):
         return plex, gen
 
     monkeypatch.setattr(runner, "build_loaded_sysplex", spy)
-    payload, cached = run_task(small_spec().to_dict())
-    assert not cached and payload["kind"] == "runresult"
+    payload = run_task(small_spec().to_dict())
+    assert payload["kind"] == "runresult"
     assert len(built) == 1 and built[0]() is None
 
 
@@ -155,10 +155,10 @@ def test_run_task_freeze_pins_no_point_garbage():
         return len(gc.get_objects()) + gc.get_freeze_count()
 
     for spec in specs[:3]:  # one point of each size warms the imports
-        worker._run_and_freeze(spec.to_dict(), None)
+        worker._run_and_freeze(spec.to_dict())
     before = census()
     for spec in specs[3:]:
-        worker._run_and_freeze(spec.to_dict(), None)
+        worker._run_and_freeze(spec.to_dict())
     assert census() - before <= 20 * len(specs[3:])
 
 

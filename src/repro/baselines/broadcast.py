@@ -39,6 +39,8 @@ __all__ = ["BroadcastCluster"]
 class _MessageLockPort(LocalLockPort):
     """Lock-manager transport where remote-mastered requests pay messaging."""
 
+    bare_latch = False  # every request goes through :meth:`sync`
+
     def __init__(self, node: SystemNode, cluster: "BroadcastCluster"):
         super().__init__(node)
         self.cluster = cluster

@@ -37,7 +37,7 @@ import random
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .distrib.launcher import worker_backend
 from .executor import (
@@ -215,6 +215,12 @@ class Manifest:
         rec = self.records.get(content_hash)
         return rec.get("status") if rec else None
 
+    def failures(self, hashes: Iterable[str]) -> List[dict]:
+        """The failed records among ``hashes``, once each: a shared
+        directory's manifest holds other grids' points too."""
+        return [rec for rec in map(self.records.get, dict.fromkeys(hashes))
+                if rec is not None and rec.get("status") == "failed"]
+
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for rec in self.records.values():
@@ -307,8 +313,6 @@ def run_campaign(specs: Sequence[RunSpec], root: Path, *,
     wall = time.perf_counter() - t0
 
     counts = manifest.counts()
-    failures = [r for r in manifest.records.values()
-                if r.get("status") == "failed"]
     summary = {
         "schema": MANIFEST_SCHEMA,
         "points": len(specs),
@@ -326,7 +330,7 @@ def run_campaign(specs: Sequence[RunSpec], root: Path, *,
         "wall_seconds": round(wall, 3),
         "points_per_second": round(len(run_specs) / wall, 3) if wall > 0
         else None,
-        "triage": triage(failures),
+        "triage": triage(manifest.failures(hashes)),
     }
     (root / SUMMARY_NAME).write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n",
@@ -401,14 +405,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.status:
         manifest = Manifest(root / MANIFEST_NAME)
         counts = manifest.counts()
-        total = len(build_grid(args.grid, args.points, args.seed))
-        uniq = len({s.content_hash()
-                    for s in build_grid(args.grid, args.points, args.seed)})
+        hashes = [s.content_hash()
+                  for s in build_grid(args.grid, args.points, args.seed)]
         print(f"{root}: " + (", ".join(
             f"{v} {k}" for k, v in sorted(counts.items())) or "empty")
-            + f"; grid has {total} point(s), {uniq} unique")
-        for g in triage([r for r in manifest.records.values()
-                         if r.get("status") == "failed"]):
+            + f"; grid has {len(hashes)} point(s), "
+            f"{len(set(hashes))} unique")
+        for g in triage(manifest.failures(hashes)):
             print(f"  triage: {g['count']}x {g['error']}")
         return 0
 

@@ -55,6 +55,7 @@ from .protocol import (
     PROTO_VERSION,
     ProtocolError,
     format_address,
+    no_delay,
     parse_address,
     recv_message,
     send_message,
@@ -212,6 +213,7 @@ class SweepServer:
                 conn, _peer = self._listener.accept()
             except OSError:
                 return  # listener closed
+            no_delay(conn)
             with self._lock:
                 self._conns.append(conn)
             handler = threading.Thread(target=self._serve_conn, args=(conn,),

@@ -81,8 +81,12 @@ class DasdDevice:
     def repair_path(self) -> None:
         if self._failed_paths > 0:
             self._failed_paths -= 1
-            self.paths.capacity += 1
-            self.paths._dispatch()
+            paths = self.paths
+            # close the busy area at the old occupancy before the freed
+            # path grants a waiter: the hand-off itself does not account
+            paths._account()
+            paths.capacity += 1
+            paths._dispatch()
 
     @property
     def available_paths(self) -> int:

@@ -10,7 +10,9 @@ balancing mechanisms".  The model provides:
 * **routing recommendations**: the probability-weighted server selection
   used by VTAM generic resources for session binds and by the
   transaction managers for individual work requests ("work can be
-  directed to other less-utilized system nodes", §2.3),
+  directed to other less-utilized system nodes", §2.3); each
+  recommendation advances the stream by exactly one uniform draw,
+  however many systems are live,
 * the restart-placement advice ARM consumes (§2.5: ARM "is integrated
   with the WLM so that it can provide a target restart system based on
   the current resource utilization").
@@ -109,12 +111,24 @@ class WorkloadManager:
         newly added or under-utilized system naturally attracts work "at an
         increased rate ... until its utilization has reached steady-state"
         (paper §2.4).
+
+        The draw is ``Generator.choice(len(live), p=w / w.sum())``
+        written out: one ``random()`` against the normalised cumulative
+        weights, the same index and the same stream position, without
+        ``choice``'s validation of ``p`` (which cost most of the call).
+        A single live system builds no weights but still takes its draw,
+        as ``choice(1, p=[1.0])`` does.
         """
         live = [n for n in candidates if n.alive]
         if not live:
             raise RuntimeError("no live system to route to")
+        u = self.rng.random()
+        if len(live) == 1:
+            return live[0]
         w = self._weights(live)
-        return live[int(self.rng.choice(len(live), p=w / w.sum()))]
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        return live[int(cdf.searchsorted(u, side="right"))]
 
     def least_utilized(self, candidates: Sequence[SystemNode]) -> SystemNode:
         """Deterministic pick for restart placement (ARM)."""

@@ -39,6 +39,9 @@ def _noop() -> None:
 class XesConnection:
     """One subsystem instance's connection to one structure."""
 
+    #: a CF connection runs every command (see ``LocalLockPort``)
+    bare_latch = False
+
     def __init__(self, services: "XesServices", node: SystemNode,
                  structure: Structure, port: CfPort, connector: Connector):
         self.services = services

@@ -7,7 +7,9 @@ to wait for the grant, ``cancel()`` it to release the unit or to withdraw
 from the queue.  :meth:`Resource.acquire` makes the one choice the
 execution profile asks for: on a collapsing simulator a free unit is held
 as a bare count, with no Request and no grant event; :meth:`Resource.drop`
-releases either kind.
+releases either kind.  A freed unit passes to the head waiter inline: the
+releaser accounts the busy area once, and the grant is one set insertion
+and one calendar push at the current instant.
 
 The model's queues of work (CF list structures, the JES spool) are model
 objects of their own, so the kernel has no store or level primitive.
@@ -117,8 +119,9 @@ class Resource:
         req = Request(self, priority)
         users = self.users
         if len(users) + self._held < self.capacity and not self._waiters:
-            # immediate-grant fast path: _grant + Event.succeed flattened
-            # (free capacity is the common case on CPU engines and links)
+            # immediate grant: the busy area accounted and Event.succeed
+            # flattened (free capacity is the common case on CPU engines
+            # and links)
             sim = self.sim
             now = sim._now
             self._busy_area += (len(users) + self._held) * (now - self._last_change)
@@ -198,18 +201,26 @@ class Resource:
         if self._waiters and len(users) + self._held < self.capacity:
             self._dispatch()
 
-    def _grant(self, req: Request) -> None:
-        self._account()
-        self.users.add(req)
-        req.succeed()
-
     def _dispatch(self) -> None:
-        while self._waiters and len(self.users) + self._held < self.capacity:
-            _p, _s, req = heappop(self._waiters)
+        """Grant queued requests while units are free.
+
+        The caller has accounted the busy area at this instant (``unclaim``,
+        ``release`` and ``_cancel`` do so as they free the unit), so each
+        grant only joins ``users`` and schedules the request's event at
+        ``(now, NORMAL)``: ``Event.succeed`` flattened, as in ``request``.
+        """
+        users = self.users
+        waiters = self._waiters
+        sim = self.sim
+        while waiters and len(users) + self._held < self.capacity:
+            _p, _s, req = heappop(waiters)
             if req._key is None:
                 continue  # cancelled while queued
             req._key = False
-            self._grant(req)
+            users.add(req)
+            req._state = _TRIGGERED
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._queue, (sim._now, NORMAL, seq, req))
 
     def _cancel(self, req: Request) -> None:
         # ``release`` inlined (one membership test instead of two, no

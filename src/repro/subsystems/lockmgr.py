@@ -256,6 +256,10 @@ def _release(structure: LockStructure, conn, locks) -> None:
 #: the only answer a :class:`LocalLockPort` ever gives
 _GRANTED = GrantResult(True)
 
+#: CPU path length of the local latch: a few hundred nanoseconds, charged
+#: as plain CPU without a link round trip
+LATCH_CPU = 0.5e-6
+
 
 class LocalLockPort:
     """Lock port of a system that shares no lock structure.
@@ -264,15 +268,20 @@ class LocalLockPort:
     other connector nothing can refuse a request, so the port runs no CF
     command: it charges the local latch and grants.  The shared
     :class:`LockSpace` still decides every conflict between owners.
+
+    ``bare_latch`` says the port is that latch and nothing more, so the
+    lock manager charges :data:`LATCH_CPU` itself and builds no command
+    for it.  A subclass whose ``sync`` does more (a message to a remote
+    lock master) sets it False.
     """
+
+    bare_latch = True
 
     def __init__(self, node):
         self.node = node
 
     def sync(self, op, **_kw):
-        # local latch: a few hundred nanoseconds of path length, charged
-        # as plain CPU without a link round trip
-        yield from self.node.cpu.consume(0.5e-6)
+        yield from self.node.cpu.consume(LATCH_CPU)
         return _GRANTED
 
     def instances(self):
@@ -310,18 +319,6 @@ class LockManager:
             raise SystemDown(self.system_name)
         space = self.space
 
-        # one closure per call is load-bearing: several transactions on
-        # one system lock concurrently, and the CF executes it at
-        # command-service time, long after this frame moved on.  A
-        # duplexed secondary runs the same request (identical state =>
-        # identical grant decision)
-        def cf_request(s, c):
-            result = s.request(c, resource, mode)
-            if result.granted and mode == LockMode.EXCL:
-                # record data piggybacked on the same command (§3.3.1)
-                s.write_record(c, resource, {"sys": self.system_name})
-            return result
-
         # Retained-lock check: updates of a failed system stay protected
         # until peer recovery completes; conflicting requests are
         # REJECTED, not queued (see RetainedLockReject).  ``retained`` is
@@ -330,25 +327,40 @@ class LockManager:
         if space.retained and space.conflicts_with_retained(resource, mode):
             raise RetainedLockReject(resource)
 
-        result = yield from self.xes.sync(cf_request, write=True)
+        xes = self.xes
+        if xes.bare_latch:
+            # nothing can refuse a local latch: charge it and grant
+            yield from xes.node.cpu.consume(LATCH_CPU)
+        else:
+            # one closure per call is load-bearing: several transactions
+            # on one system lock concurrently, and the CF executes it at
+            # command-service time, long after this frame moved on.  A
+            # duplexed secondary runs the same request (identical state
+            # => identical grant decision)
+            def cf_request(s, c):
+                result = s.request(c, resource, mode)
+                if result.granted and mode == LockMode.EXCL:
+                    # record data piggybacked on the same command (§3.3.1)
+                    s.write_record(c, resource, {"sys": self.system_name})
+                return result
 
-        if result.granted:
-            if space.retained and space.conflicts_with_retained(resource,
-                                                                mode):
-                self._undo_interest(resource, mode)  # system died mid-request
-                raise RetainedLockReject(resource)
-            if space.try_grant(resource, owner, mode):
-                self.sync_grants += 1
-                self._note_held(owner, resource, mode)
+            result = yield from xes.sync(cf_request, write=True)
+            if not result.granted:
+                yield from self._lock_contended(owner, resource, mode)
                 return
-            # CF said yes but software state disagrees (another owner
-            # on this same system holds it): undo the recorded
-            # interest and wait locally via the common queue.
-            self._undo_interest(resource, mode)
-            yield from self._wait(owner, resource, mode)
-            return
 
-        yield from self._lock_contended(owner, resource, mode)
+        if space.retained and space.conflicts_with_retained(resource, mode):
+            self._undo_interest(resource, mode)  # system died mid-request
+            raise RetainedLockReject(resource)
+        if space.try_grant(resource, owner, mode):
+            self.sync_grants += 1
+            self._note_held(owner, resource, mode)
+            return
+        # the port said yes but software state disagrees (another owner
+        # on this same system holds it): undo the recorded interest and
+        # wait locally via the common queue.
+        self._undo_interest(resource, mode)
+        yield from self._wait(owner, resource, mode)
 
     def _undo_interest(self, resource: object, mode: str) -> None:
         """Back out interest recorded by a granted-then-rejected request.
@@ -371,8 +383,7 @@ class LockManager:
             raise RetainedLockReject(resource)
         if self.space.try_grant(resource, owner, mode):
             # false contention (or holder released meanwhile): grant
-            yield from self.xes.sync(
-                lambda s, c: s.force_record(c, resource, mode), write=True)
+            yield from self._force_record(resource, mode)
             self._note_held(owner, resource, mode)
             return
         yield from self._wait(owner, resource, mode)
@@ -410,8 +421,7 @@ class LockManager:
             raise SystemDown(self.system_name)
         # granted by a releaser: record interest at the CF and locally
         try:
-            yield from self.xes.sync(
-                lambda s, c: s.force_record(c, resource, mode), write=True)
+            yield from self._force_record(resource, mode)
         except BaseException:
             # this system died between the software grant and the CF
             # record: undo the grant so the resource isn't poisoned, and
@@ -419,6 +429,15 @@ class LockManager:
             self.space.release_and_wake(resource, owner)
             raise
         self._note_held(owner, resource, mode)
+
+    def _force_record(self, resource: object, mode: str) -> Generator:
+        """Record a software-granted lock's interest at the CF (only the
+        latch on a bare local port)."""
+        xes = self.xes
+        if xes.bare_latch:
+            return xes.node.cpu.consume(LATCH_CPU)
+        return xes.sync(lambda s, c: s.force_record(c, resource, mode),
+                        write=True)
 
     def _charge_holders(self, resource: object) -> None:
         """Holders pay their side of the negotiation (async CPU)."""
@@ -460,10 +479,14 @@ class LockManager:
         locks = list(self.held.get(owner, {}).items())
         if not locks:
             return
-        yield from self.xes.sync(
-            lambda s, c: _release(s, c, locks), write=True,
-            service_factor=max(1.0, 0.25 * len(locks))
-        )
+        xes = self.xes
+        if xes.bare_latch:
+            yield from xes.node.cpu.consume(LATCH_CPU)
+        else:
+            yield from xes.sync(
+                lambda s, c: _release(s, c, locks), write=True,
+                service_factor=max(1.0, 0.25 * len(locks))
+            )
         self.held.pop(owner, None)
         for resource, _mode in locks:
             self._dispatch(resource, owner)

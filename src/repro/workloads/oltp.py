@@ -41,7 +41,12 @@ class Transaction:
 
 
 class PageSampler:
-    """Zipf-skewed page sampling with O(log n) draws."""
+    """Zipf-skewed page sampling with O(log n) draws.
+
+    Each rejection round maps its ``k`` uniforms to page ids in numpy and
+    hands back plain ints, so a transaction's pages are built without a
+    numpy scalar per draw.
+    """
 
     def __init__(self, n_pages: int, theta: float, rng: np.random.Generator):
         self.n_pages = n_pages
@@ -63,10 +68,11 @@ class PageSampler:
         # distinct-sample by rejection; skew makes duplicates common for
         # small k, so cap the attempts and top up uniformly if needed
         attempts = 0
+        last = self.n_pages - 1
         while len(out) < k and attempts < 8 * k:
-            u = self.rng.random(k)
-            for page in np.searchsorted(self._cum, u):
-                out.add(int(self._perm[min(page, self.n_pages - 1)]))
+            ranks = np.searchsorted(self._cum, self.rng.random(k))
+            for page in self._perm[np.minimum(ranks, last)].tolist():
+                out.add(page)
                 if len(out) >= k:
                     break
             attempts += k
@@ -113,6 +119,8 @@ class OltpGenerator:
 
     # -- transaction synthesis ---------------------------------------------
     def make_transaction(self, home: int) -> Transaction:
+        """Draw one transaction's pages and split them into reads and
+        writes: ``writes_per_txn`` of them, picked by a permutation."""
         self._next_id += 1
         self.generated += 1
         if self.tracer is not None:
@@ -130,7 +138,7 @@ class OltpGenerator:
             pages = sorted(pages)[:k]
         else:
             pages = self.sampler.sample(k)
-        idx = self.rng.permutation(k)  # updates hit a random subset
+        idx = self.rng.permutation(k).tolist()  # updates hit a random subset
         return Transaction(
             txn_id=self._next_id,
             arrival=self.sim.now,

@@ -169,6 +169,33 @@ def test_campaign_complete_counts_only_this_grids_points(tmp_path):
     assert summary["complete"] is False
 
 
+def test_campaign_triage_counts_only_this_grids_failures(tmp_path):
+    """Another grid's failed points in the same directory stay out of
+    this grid's triage, in the summary and under ``--status``."""
+    root = tmp_path / "camp"
+    failed = run_campaign(tiny_specs(4, boom={1, 3}), root, cache=None,
+                          stream=None)
+    assert failed["triage"][0]["count"] == 2
+
+    ok = [RunSpec(runner=RUNNER, label=f"o{i}", params={"n": i})
+          for i in range(3)]
+    summary = run_campaign(ok, root, cache=None, stream=None)
+    assert summary["complete"] is True
+    assert summary["failed_this_run"] == 0
+    assert summary["triage"] == []
+    assert json.loads((root / SUMMARY_NAME).read_text())["triage"] == []
+
+
+def test_cli_status_triages_only_this_grid(tmp_path, capsys):
+    root = tmp_path / "camp"
+    run_campaign(tiny_specs(4, boom={1, 3}), root, cache=None, stream=None)
+    assert main(["--grid", "micro", "--points", "2", "--dir", str(root),
+                 "--status"]) == 0
+    out = capsys.readouterr().out
+    assert "2 failed" in out
+    assert "  triage:" not in out
+
+
 def test_campaign_dedups_repeated_points(tmp_path):
     spec = tiny_specs(1)[0]
     summary = run_campaign([spec, spec, spec], tmp_path / "camp",

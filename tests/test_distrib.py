@@ -8,11 +8,14 @@ remote worker needs the experiment code installed).
 """
 
 import os
+import socket
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.distrib import SweepServer, WorkerTaskError, format_address, parse_address
+from repro.distrib.protocol import connect, no_delay
 from repro.executor import (
     ResultCache,
     WorkQueueBackend,
@@ -174,6 +177,34 @@ def test_server_raises_when_no_worker_ever_connects():
 
 
 # ------------------------------------------------------- wire traffic ----
+def _nodelay(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_tcp_connections_send_frames_without_delay():
+    """Both ends of a TCP worker connection turn Nagle's algorithm off,
+    so a pipelined frame does not wait for the peer's delayed ACK."""
+    server = SweepServer([(0, probe_specs(1)[0].to_dict())], workers=1)
+    address = server.start("127.0.0.1:0")
+    try:
+        with connect(address, timeout=5.0) as client:
+            assert _nodelay(client)
+            deadline = time.monotonic() + 5.0
+            while not server._conns and time.monotonic() < deadline:
+                time.sleep(0.01)
+            (accepted,) = server._conns
+            assert _nodelay(accepted)
+    finally:
+        server.close()
+
+
+@pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="no unix sockets")
+def test_no_delay_leaves_unix_sockets_alone():
+    a, b = socket.socketpair(socket.AF_UNIX)
+    with a, b:
+        no_delay(a)  # a unix socket has no TCP options to set
+
+
 def test_worker_sends_one_frame_per_task(tmp_path, monkeypatch):
     """A worker sends its hello and one result frame per task, nothing
     else: the submitter has already answered every cached spec, so the

@@ -71,6 +71,36 @@ def test_dasd_path_failure_and_repair():
     assert dev.available_paths == 4
 
 
+def test_dasd_repair_hands_a_path_to_the_queued_waiter():
+    """A path failed while both paths are busy keeps a waiter queued past
+    the first release; the repair grants it at the repair instant, and
+    the busy area counts one busy path between that release and the
+    repair, not two."""
+    sim = Simulator()
+    dev = DasdDevice(sim, DasdConfig(paths=2), rng())
+    granted = []
+
+    def hold(start, seconds):
+        yield sim.timeout(start)
+        req = dev.paths.request()
+        yield req
+        granted.append(sim.now)
+        yield sim.timeout(seconds)
+        req.cancel()
+
+    sim.process(hold(0.0, 1.0))  # releases at 1.0
+    sim.process(hold(0.0, 3.0))  # releases at 3.0
+    sim.process(hold(0.5, 1.0))  # queued behind both
+    sim.call_at(0.5, dev.fail_path)
+    sim.call_at(2.0, dev.repair_path)
+    sim.run(until=4.0)
+
+    assert granted == [0.0, 0.0, 2.0]
+    # 2 paths busy over [0, 1), 1 over [1, 2), 2 over [2, 3), none after
+    assert dev.paths.busy_area() == 2.0 * 1.0 + 1.0 * 1.0 + 2.0 * 1.0
+    assert dev.paths.in_use == 0
+
+
 def test_dasd_keeps_last_path():
     """Automatic reconfiguration never loses the last path."""
     sim = Simulator()

@@ -57,6 +57,17 @@ __all__ = ["CacheStructure", "LocalVector", "CacheFullError"]
 _exhaust = deque(maxlen=0).extend
 
 
+def _merge_into(maps: Dict[int, Dict[object, int]], cid: int,
+                batch: Dict[object, int]) -> None:
+    """``maps[cid].update(batch)``, except that an empty map is replaced
+    by a copy of ``batch``: a dict copy is one block copy, not an insert
+    per entry."""
+    if maps[cid]:
+        maps[cid].update(batch)
+    else:
+        maps[cid] = batch.copy()
+
+
 class CacheFullError(Exception):
     """No storage for a changed block: castout has fallen behind."""
 
@@ -259,14 +270,15 @@ class CacheStructure(Structure):
                                * len(conns))
         regs = dict(zip(names, bits))
         # the batch's bits as one vector: a vector that has no bit yet
-        # (a connection's first batch) takes a copy of it
+        # (a connection's first batch) takes a copy of it, as an empty
+        # name map takes a copy of the batch's
         filled = [False] * (max(bits) + 1)
         _exhaust(map(setitem, repeat(filled), bits, repeat(True)))
         for conn in conns:
             cid = conn.conn_id
-            self._regs[cid].update(regs)
+            _merge_into(self._regs, cid, regs)
             if seen:
-                self._seen[cid].update(seen)
+                _merge_into(self._seen, cid, seen)
             vector = self.vectors[cid]
             if vector._bits:
                 vector._grow(len(filled) - 1)

@@ -20,14 +20,23 @@ In non-data-sharing mode (the paper's single-system base case) the same
 manager runs with no CF connection: pure local LRU pool plus a deferred
 writer, which is what makes the §4 "cost of data sharing" comparison
 apples-to-apples.
+
+The members of a sysplex warm-start together: each pool keeps the pages
+nothing has touched since the warm start in a plain ``dict`` (the warm
+segment) and only the pages touched or loaded since in the
+``OrderedDict`` LRU chain (the hot chain).  Every member starts with the
+same warm state, and a plain dict copies an order of magnitude faster
+than an ``OrderedDict``, takes less than half its memory and, holding
+only ints, is not tracked by the cycle collector.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from itertools import count, islice
-from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
+from itertools import chain, count, islice
+from typing import (Dict, Generator, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..cf.cache import CacheStructure
 from ..config import DatabaseConfig
@@ -46,10 +55,29 @@ class BufferManager:
 
     The pool is a map from page to buffer slot, in LRU order with the
     cold end first; the slot is the page's local-vector bit in data
-    sharing.  Pages with unexternalized updates are in one dirty set.  A
-    dirty page is never stolen, so the dirty set is a subset of the
-    pool's pages.  Nor is a page whose miss is still being read in: its
+    sharing.  It is held in two parts, and the LRU order is the warm
+    segment followed by the hot chain:
+
+    * the **warm segment** (``_warm``, a plain dict) holds the pages a
+      shared warm start (:meth:`prewarm` of empty pools with peers)
+      loaded that nothing has touched since, in prewarm order.
+      ``_warm_order`` lists them in that order (shared read-only by
+      every member warmed together) and ``_warm_at`` is this pool's
+      cursor into it: the coldest warm page is the first one at or
+      after the cursor still in ``_warm``.
+    * the **hot chain** (``_pool``, an ``OrderedDict``) holds every page
+      touched or loaded since.  Touching a warm page moves it to the hot
+      chain's MRU end.
+
+    A warm page is clean, unpinned and untouched since the warm start,
+    so a steal takes the coldest warm page while there is one, and only
+    then looks at the hot chain.  Pages with unexternalized updates are
+    in one dirty set; a dirty page is never stolen, so the dirty set is a
+    subset of the hot chain's pages.  Nor is a page whose read is still
+    in flight (a miss, or the refresh of a cross-invalidated buffer): its
     reader may update it the moment the read ends.
+
+    The free slots are ``0 .. _free - 1``, handed out from the top down.
     """
 
     def __init__(self, sim: Simulator, node, config: DatabaseConfig,
@@ -62,14 +90,21 @@ class BufferManager:
         self.xes = xes  # None => non-data-sharing
         self.trace = trace  # Tracer or None (zero-cost when disabled)
         self._pool: "OrderedDict[object, int]" = OrderedDict()
+        self._warm: Dict[object, int] = {}
+        self._warm_order: Sequence[object] = ()
+        self._warm_at = 0
+        #: compact the warm segment once it holds this many pages or fewer
+        self._warm_floor = 0
         self._dirty: Set[object] = set()
-        #: pooled pages whose get_page miss is in flight (never stolen)
-        self._reading: Set[object] = set()
-        self._free_slots: List[int] = list(range(config.buffer_pages))
-        # clean-page index (see _oldest_clean): LRU stamps of the pooled
-        # pages and a min-heap of (stamp, page) over the clean ones.  Built
-        # on the first steal that meets a dirty LRU head; until then it is
-        # None and no page pays for it.
+        #: pooled pages whose read is in flight, with how many reads each
+        #: (never stolen)
+        self._reading: Dict[object, int] = {}
+        self._free = config.buffer_pages
+        # clean-page index (see _oldest_clean): LRU stamps of the hot
+        # chain's pages and a min-heap of (stamp, page) over the clean
+        # ones.  Built on the first steal that meets a dirty LRU head,
+        # which no warm page can be; until then it is None and no page
+        # pays for it.
         self._stamps: Optional[Dict[object, int]] = None
         self._clean_heap: List[Tuple[int, object]] = []
         self._tick = count()
@@ -100,18 +135,25 @@ class BufferManager:
         case entirely.
         """
         slot = self._pool.get(page)
-        if slot is None:
-            return None
+        warm = slot is None
+        if warm:
+            slot = self._warm.get(page)
+            if slot is None:
+                return None
         xes = self.xes
         if xes is not None:
             if not xes.connector.active:
                 return None  # let get_page raise SystemDown as before
             if not xes.structure.vector_of(xes.connector).test(slot):
                 return None  # cross-invalidated: get_page pays the refresh
-        # _to_mru(page), inlined on the transaction inner loop
-        self._pool.move_to_end(page)
-        if self._stamps is not None:
-            self._stamps[page] = next(self._tick)
+        if warm:
+            self._touch(page)
+        else:
+            # _touch(page) for a hot page, inlined on the transaction
+            # inner loop
+            self._pool.move_to_end(page)
+            if self._stamps is not None:
+                self._stamps[page] = next(self._tick)
         self.local_hits += 1
         return "local"
 
@@ -125,9 +167,13 @@ class BufferManager:
             from ..hardware.cpu import SystemDown
 
             raise SystemDown(self.node.name)
+        # after try_get_local nearly every call is a miss (a pooled page
+        # here was cross-invalidated), so only a hit pays for _touch
         slot = self._pool.get(page)
+        if slot is None and self._warm:
+            slot = self._warm.get(page)
         if slot is not None:
-            self._to_mru(page)
+            self._touch(page)
             if not self.data_sharing:
                 self.local_hits += 1
                 return "local"
@@ -136,15 +182,20 @@ class BufferManager:
             if vector.test(slot):
                 self.local_hits += 1
                 return "local"
-            # cross-invalidated since we last touched it
+            # cross-invalidated since we last touched it: pin the page
+            # until the refresh is in, as a miss pins it until its read is
             self.coherency_misses += 1
-            source = yield from self._register_and_fill(page, slot, None)
+            self._pin(page)
+            try:
+                source = yield from self._register_and_fill(page, slot, None)
+            finally:
+                self._unpin(page)
             return source
 
         # true miss: steal the LRU buffer, and pin the page until its
         # data is in (the caller may dirty it the moment the read ends)
         slot, old_name = self._allocate(page)
-        self._reading.add(page)
+        self._pin(page)
         try:
             if not self.data_sharing:
                 yield from traced(self.trace, "io", self.farm.read_page(page))
@@ -162,10 +213,14 @@ class BufferManager:
         pooled page is dirty the pool grows by one buffer instead.
         """
         old_name = None
-        pool = self._pool
-        if self._free_slots:
-            slot = self._free_slots.pop()
+        if self._free:
+            self._free -= 1
+            slot = self._free
+        elif self._warm:
+            victim_page, slot = self._steal_warm()
+            old_name = victim_page if self.data_sharing else None
         else:
+            pool = self._pool
             victim_page, slot = pool.popitem(last=False)
             if victim_page in self._dirty or victim_page in self._reading:
                 # in non-sharing mode the deferred writer owns dirty pages,
@@ -194,33 +249,98 @@ class BufferManager:
             self._index_clean(stamp, page)
         return slot
 
+    def _pin(self, page: object) -> None:
+        """A read of pooled ``page`` starts: it may not be stolen until
+        the read ends.  Two transactions may read one page at once (a
+        refresh beside a miss, or two refreshes), so pins are counted."""
+        reading = self._reading
+        reading[page] = reading.get(page, 0) + 1
+
     def _unpin(self, page: object) -> None:
-        """A miss's read ended: ``page`` may be stolen again, so a clean
-        pooled page goes back into the clean-page index, which
-        :meth:`_oldest_clean` may have dropped it from meanwhile."""
-        self._reading.discard(page)
+        """A read of ``page`` ended: once no other is in flight it may be
+        stolen again, so a clean pooled page goes back into the clean-page
+        index, which :meth:`_oldest_clean` may have dropped it from
+        meanwhile."""
+        reading = self._reading
+        pins = reading[page]
+        if pins > 1:
+            reading[page] = pins - 1
+            return
+        del reading[page]
         stamps = self._stamps
         if stamps is not None and page in stamps and page not in self._dirty:
             self._index_clean(stamps[page], page)
 
-    def _to_mru(self, page: object) -> None:
-        """Move a pooled page to the MRU end of the LRU chain."""
-        self._pool.move_to_end(page)
+    def _touch(self, page: object) -> Optional[int]:
+        """Move a pooled page to the MRU end of the LRU chain and return
+        its slot; None (and no change) if ``page`` is not pooled."""
+        pool = self._pool
+        slot = pool.get(page)
+        if slot is not None:
+            pool.move_to_end(page)
+        else:
+            warm = self._warm
+            if page not in warm:
+                return None
+            slot = pool[page] = warm.pop(page)
+            self._warm_shrunk()
         if self._stamps is not None:
             self._stamps[page] = next(self._tick)
+        return slot
+
+    # -- warm segment ----------------------------------------------------------
+    def _steal_warm(self) -> Tuple[object, int]:
+        """Take the coldest warm page out of the pool; returns (page,
+        slot).  The pages the cursor passes over were touched since the
+        warm start and are in the hot chain, so each is passed once."""
+        order, warm = self._warm_order, self._warm
+        at = self._warm_at
+        while order[at] not in warm:
+            at += 1
+        page = order[at]
+        self._warm_at = at + 1
+        slot = warm.pop(page)
+        self._warm_shrunk()
+        return page, slot
+
+    def _warm_shrunk(self) -> None:
+        """A page left the warm segment.  A dict keeps a deleted entry's
+        room until it is rebuilt, so once half its pages are gone the
+        segment is rebuilt from the live ones, with its own order list and
+        the cursor at its start; a drained segment leaves an empty dict
+        and an empty list."""
+        warm = self._warm
+        if len(warm) <= self._warm_floor:
+            self._set_warm(dict(warm), list(warm))
+
+    def _set_warm(self, warm: Dict[object, int],
+                  order: Sequence[object]) -> None:
+        """Make ``warm``, in ``order``, the warm segment with the cursor at
+        its start: at a warm start, or when the segment is rebuilt."""
+        self._warm = warm
+        self._warm_order = order
+        self._warm_at = 0
+        self._warm_floor = len(warm) // 2
+
+    def lru_items(self) -> Iterator[Tuple[object, int]]:
+        """The pooled pages with their slots, in LRU order (cold end
+        first): the warm segment in prewarm order, then the hot chain."""
+        return chain(self._warm.items(), self._pool.items())
 
     # -- clean-page index ------------------------------------------------------
-    # The pool's order is its LRU chain; once the index exists every move
-    # to the MRU end takes the next stamp, so stamps rise along the chain.
-    # Every clean pooled page has at least one heap entry whose stamp is at
-    # most its current stamp: an entry goes stale when its page is touched,
-    # dirtied or stolen, and stale entries are dropped or re-filed only when
-    # they reach the top of the heap.  So a steal costs O(log pool)
-    # amortized, not a walk of the dirty run at the cold end.
+    # The hot chain's order is its LRU order; once the index exists every
+    # move to the MRU end takes the next stamp, so stamps rise along the
+    # chain.  Every clean page of the chain has at least one heap entry
+    # whose stamp is at most its current stamp: an entry goes stale when
+    # its page is touched, dirtied or stolen, and stale entries are dropped
+    # or re-filed only when they reach the top of the heap.  So a steal
+    # costs O(log pool) amortized, not a walk of the dirty run at the cold
+    # end.  The index is built only once the warm segment is empty (a
+    # steal meets a dirty head only then), and a pool never warms again.
     def _index_pool(self) -> None:
-        """(Re)build the index from the pool: the chain is already in
-        stamp order, so the clean entries form a sorted list, which is a
-        valid heap without a sort.  Also compacts a heap that has grown
+        """(Re)build the index from the hot chain: the chain is already
+        in stamp order, so the clean entries form a sorted list, which is
+        a valid heap without a sort.  Also compacts a heap that has grown
         past twice the pool."""
         pool, dirty = self._pool, self._dirty
         self._stamps = dict(zip(pool, count()))
@@ -284,10 +404,9 @@ class BufferManager:
     # -- write path ------------------------------------------------------------
     def mark_dirty(self, page: object) -> None:
         """Record a local update (the caller holds an EXCL lock)."""
-        if page not in self._pool:
+        if self._touch(page) is None:
             raise KeyError(f"page {page!r} not in pool — read before write")
         self._dirty.add(page)
-        self._to_mru(page)
 
     def mark_clean(self, page: object) -> None:
         """The one dirty→clean transition: ``page`` is externalized (CF
@@ -323,7 +442,7 @@ class BufferManager:
             self.mark_clean(page)
 
     def dirty_pages(self) -> List[object]:
-        """The dirty pages, in LRU order."""
+        """The dirty pages, in LRU order (all in the hot chain)."""
         dirty = self._dirty
         return [p for p in self._pool if p in dirty]
 
@@ -334,7 +453,8 @@ class BufferManager:
         # pool's.  That writes exactly what a full snapshot would: without
         # a CF nothing but this writer cleans a dirty page, and a dirty page
         # is never stolen, so every page collected here is still pooled and
-        # dirty when its turn comes and none is ever skipped.
+        # dirty when its turn comes and none is ever skipped.  A warm page
+        # is clean, so only the hot chain is walked.
         dirty = self._dirty
         batch = list(islice((p for p in self._pool if p in dirty), limit))
         for page in batch:
@@ -355,49 +475,61 @@ class BufferManager:
         reads would.  No pool has stolen yet while it has a free slot, so
         there is no clean-page index to file them in.
 
+        An empty pool warmed together with peers loads the pages into its
+        warm segment, which each peer copies.  A pool warmed alone loads
+        them at the MRU end of its hot chain, as does a pool that already
+        holds pages: with no copy to save, a lone pool keeps the one
+        chain.  Either way the LRU order is the one the reads would leave.
+
         The final state and statistics are those of one call per manager,
         this one first and then the peers in order.  A sysplex's members
-        start alike, though, so the warm state is built once: this pool is
-        filled, every peer (each empty, with the free slots this pool
-        started with) gets a copy of it and the same cut, and the loaded
-        pages are registered in one :meth:`CacheStructure.prewarm_many`
-        call per structure instance (both instances of a duplexed
-        structure).
+        start alike, though, so the warm state is built once: this pool
+        (empty) is filled, every peer (each empty, with the free slots
+        this pool started with) gets a ``dict.copy()`` of its warm segment,
+        the same order list to read and the same free-slot count, and the
+        loaded pages are registered in one
+        :meth:`CacheStructure.prewarm_many` call per structure instance
+        (both instances of a duplexed structure).
         """
-        assert not (peers and self._pool), "peers copy an empty pool's start"
-        pool = self._pool
-        free = self._free_slots
-        start = free[:]
-        fresh = [p for p in dict.fromkeys(pages) if p not in pool]
-        del fresh[len(free):]
-        # the slots free.pop() would hand out, one per page
-        cut = len(free) - len(fresh)
-        slots = free[cut:]
-        slots.reverse()
-        del free[cut:]
-        pool.update(zip(fresh, slots))
+        pool, warm = self._pool, self._warm
+        assert not (peers and (pool or warm)), \
+            "peers copy an empty pool's start"
+        free = self._free
+        loaded = [p for p in dict.fromkeys(pages)
+                  if p not in pool and p not in warm]
+        del loaded[free:]
+        # the slots the free-slot countdown hands out, one per page
+        self._free = cut = free - len(loaded)
+        slots = range(free - 1, cut - 1, -1)
+        if pool or warm or not peers:
+            pool.update(zip(loaded, slots))
+        elif loaded:
+            warm = dict(zip(loaded, slots))
+            self._set_warm(warm, loaded)
         for peer in peers:
-            assert not peer._pool and peer._free_slots == start, \
+            assert not (peer._pool or peer._warm) and peer._free == free, \
                 "a peer starts empty, with this pool's free slots"
-            peer._pool = pool.copy()
-            peer._free_slots = free[:]
+            peer._free = cut
+            peer._set_warm(warm.copy(), loaded)
         instances: Dict[CacheStructure, List] = {}
         for bm in (self, *peers):
-            if fresh and bm.data_sharing:
+            if loaded and bm.data_sharing:
                 for structure, conn in bm.xes.instances():
                     instances.setdefault(structure, []).append(conn)
         for structure, conns in instances.items():
-            structure.prewarm_many(conns, fresh, slots)
-        return len(fresh)
+            structure.prewarm_many(conns, loaded, slots)
+        return len(loaded)
 
     def contains(self, page: object) -> bool:
-        return page in self._pool
+        return page in self._pool or page in self._warm
 
     def is_valid(self, page: object) -> bool:
         """Local coherency state of a pooled page (diagnostic)."""
         slot = self._pool.get(page)
         if slot is None:
-            return False
+            slot = self._warm.get(page)
+            if slot is None:
+                return False
         if not self.data_sharing:
             return True
         return self.cache.vector_of(self.xes.connector).test(slot)

@@ -436,7 +436,7 @@ class Sysplex:
                 )
                 pool = [
                     (page, slot)
-                    for page, slot in inst.buffers._pool.items()
+                    for page, slot in inst.buffers.lru_items()
                     if old_vec is None or old_vec.test(slot)
                 ]
 

@@ -9,7 +9,9 @@ highest one.  :class:`ScanModel` is that walk over an ordered dict.
 Random operation sequences on a tiny pool must leave the real manager
 and the model with the same pooled pages, in the same LRU order, with
 the same slots and dirty bits — which pins the stolen victim and the
-extension slot after every step.
+extension slot after every step.  A pool warm-started together with a
+peer keeps its untouched warm pages in a separate segment; the same
+model, prewarmed alike, must describe it as its warm segment drains.
 """
 
 from collections import OrderedDict
@@ -80,7 +82,12 @@ class ScanModel:
 
 
 def _state(bm: BufferManager):
-    return [(p, slot, p in bm._dirty) for p, slot in bm._pool.items()]
+    return [(p, slot, p in bm._dirty) for p, slot in bm.lru_items()]
+
+
+def _pages(bm: BufferManager):
+    """The pooled pages in LRU order."""
+    return [p for p, _slot in bm.lru_items()]
 
 
 pages = st.integers(0, N_PAGES - 1)
@@ -108,12 +115,30 @@ INDEXED = ([("read", p) for p in range(N_BUFFERS)] + [("update", 0)]
            + [("read", N_BUFFERS)])
 
 
-def _check_against_scan(ops, data_sharing: bool, indexed: bool) -> None:
-    mp = MiniPlex(n_systems=1)
+#: the warm start's pages, in prewarm order (not page order)
+WARM = [5, 1, 7, 2]
+
+
+def _check_against_scan(ops, data_sharing: bool, indexed: bool,
+                        warm: bool = False) -> None:
+    mp = MiniPlex(n_systems=2 if warm else 1)
     mp.config.db.buffer_pages = N_BUFFERS
-    xes = mp.buffermgrs[0].xes if data_sharing else None
-    bm = BufferManager(mp.sim, mp.nodes[0], mp.config.db, mp.farm, xes=xes)
+
+    def manager(i):
+        xes = mp.buffermgrs[i].xes if data_sharing else None
+        return BufferManager(mp.sim, mp.nodes[i], mp.config.db, mp.farm,
+                             xes=xes)
+
+    bm = manager(0)
     model = ScanModel(N_BUFFERS, data_sharing)
+    if warm:
+        # warmed together with a peer: this pool's warm segment is a copy
+        # of a shared start, and its pages are untouched warm pages
+        peer = manager(1)
+        assert bm.prewarm(WARM, peers=[peer]) == model.prewarm(WARM)
+        assert _state(bm) == _state(peer) == model.state()
+        assert not bm._pool
+        start = model.state()
 
     def step(gen):
         return mp.sim.run(until=mp.sim.process(gen))
@@ -154,9 +179,12 @@ def _check_against_scan(ops, data_sharing: bool, indexed: bool) -> None:
         else:
             assert bm.prewarm(arg) == model.prewarm(arg)
         assert _state(bm) == model.state(), (op, arg)
-        assert bm._dirty <= set(bm._pool), (op, arg)  # dirty is never stolen
+        # dirty is never stolen, and never warm
+        assert bm._dirty <= set(bm._pool), (op, arg)
     if indexed:
         assert bm._stamps is not None
+    if warm:
+        assert _state(peer) == start  # the peer's pool is its own
 
 
 @given(ops, st.booleans())
@@ -178,6 +206,28 @@ def test_data_sharing_steal_matches_lru_scan(ops, indexed):
     _check_against_scan(ops, data_sharing=True, indexed=indexed)
 
 
+#: dirties a warm page, drains the warm segment by steals, then steals
+#: past the dirty head that leaves
+DRAIN = [("dirty", 1), ("read", 0), ("read", 3), ("read", 4), ("read", 6)]
+
+
+@given(ops, st.booleans())
+@example(ops=DRAIN, data_sharing=False)
+@example(ops=DRAIN, data_sharing=True)
+# the warm segment half drained (its first compaction) with the
+# coldest warm page touched, then drained by steals
+@example(ops=[("read", 5), ("read", 0), ("read", 3), ("read", 4),
+              ("read", 6)], data_sharing=False)
+@settings(max_examples=150, deadline=None)
+def test_warm_start_steal_matches_lru_scan(ops, data_sharing):
+    """A pool warm-started with a peer: steals take the warm segment's
+    coldest page first, touches move warm pages to the hot chain, and
+    once the segment drains a steal skips a dirty head, all as the scan
+    over the one LRU chain would; the peer's pool never moves."""
+    _check_against_scan(ops, data_sharing=data_sharing, indexed=False,
+                        warm=True)
+
+
 def test_index_is_built_only_on_a_dirty_head():
     """Until a steal meets a dirty LRU head no buffer pays for the
     clean-page index; after one the victim skips the dirty run."""
@@ -192,15 +242,16 @@ def test_index_is_built_only_on_a_dirty_head():
         bm.mark_dirty(2)
         yield from bm.get_page(3)
         yield from bm.get_page(4)
-        assert list(bm._pool) == [2, 3, 4]
+        assert _pages(bm) == [2, 3, 4]
         assert bm._stamps is None
         yield from bm.get_page(5)  # head 2 is dirty: steal 3
         assert bm._stamps is not None
-        assert list(bm._pool) == [2, 4, 5]
+        assert _pages(bm) == [2, 4, 5]
         bm.mark_dirty(4)
         bm.mark_dirty(5)
         yield from bm.get_page(6)  # all dirty: extend by one buffer
-        assert [bm._pool[p] for p in (2, 4, 5, 6)] == [1, 2, 0, 6]
+        slots = dict(bm.lru_items())
+        assert [slots[p] for p in (2, 4, 5, 6)] == [1, 2, 0, 6]
 
     mp.sim.run(until=mp.sim.process(work()))
 
@@ -225,9 +276,44 @@ def test_a_page_being_read_in_is_never_stolen():
     first = sim.process(bm.get_page(4))  # steals the clean head, page 3
     second = sim.process(bm.get_page(5))  # dirty head, 4 is being read
     sim.run(until=sim.all_of([first, second]))
-    assert list(bm._pool) == [1, 2, 4, 5]
-    assert bm._pool[5] == 3 + 3  # extension slot: the pool grew by one
+    assert _pages(bm) == [1, 2, 4, 5]
+    slots = dict(bm.lru_items())
+    assert slots[5] == 3 + 3  # extension slot: the pool grew by one
     assert not bm._reading
     sim.run(until=sim.process(bm.get_page(6)))
-    assert list(bm._pool) == [1, 2, 5, 6]  # 4 was the oldest clean page
+    assert _pages(bm) == [1, 2, 5, 6]  # 4 was the oldest clean page
 
+
+def test_a_page_being_refreshed_is_never_stolen():
+    """A cross-invalidated page is pinned while its refresh is in flight,
+    as a miss is while its read is: two misses that start meanwhile
+    steal around it (the second grows the pool), and when the refresh is
+    in the page is pooled, and each pooled page is registered in the CF
+    directory at its own slot."""
+    mp = MiniPlex(n_systems=2)
+    mp.config.db.buffer_pages = 2
+    bm = BufferManager(mp.sim, mp.nodes[0], mp.config.db, mp.farm,
+                       xes=mp.buffermgrs[0].xes)
+    peer = mp.buffermgrs[1]
+    sim = mp.sim
+
+    def warm():
+        yield from bm.get_page(1)
+        yield from bm.get_page(2)
+        yield from peer.get_page(1)
+        peer.mark_dirty(1)
+        yield from peer.commit_writes([1])  # cross-invalidates bm's copy
+        yield sim.timeout(1e-3)
+
+    sim.run(until=sim.process(warm()))
+    assert _pages(bm) == [1, 2] and not bm.is_valid(1)
+    refresh = sim.process(bm.get_page(1))  # 1 to the MRU end, refreshing
+    first = sim.process(bm.get_page(3))  # steals the clean head, page 2
+    second = sim.process(bm.get_page(4))  # head 1 is being refreshed
+    sim.run(until=sim.all_of([refresh, first, second]))
+    assert refresh.value == "cf"
+    assert _pages(bm) == [1, 3, 4]
+    slots = dict(bm.lru_items())
+    assert slots[4] == 2 + 2  # extension slot: the pool grew by one
+    assert bm.cache._regs[bm.xes.connector.conn_id] == slots
+    assert bm.is_valid(1) and not bm._reading

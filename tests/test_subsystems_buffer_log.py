@@ -142,17 +142,19 @@ def test_prewarm_loads_and_registers(miniplex):
     assert bm.cache.is_registered(bm.xes.connector, 11)
     # each page takes the slot one costed read would have: free slots are
     # handed out from the top down, in page order
-    assert list(bm._pool.items()) == [(10, top), (11, top - 1), (12, top - 2)]
+    assert list(bm.lru_items()) == [(10, top), (11, top - 1), (12, top - 2)]
     # duplicates and already pooled pages load nothing and use no slot
     assert bm.prewarm([11, 13, 13, 10, 14, 13]) == 2
-    assert bm._pool[13] == top - 3 and bm._pool[14] == top - 4
+    slots = dict(bm.lru_items())
+    assert slots[13] == top - 3 and slots[14] == top - 4
     # more pages than free slots: the first ones fill the pool, the rest
     # are dropped
     assert bm.prewarm(range(100, 100 + top + 1)) == top + 1 - 5
-    assert bm._free_slots == []
-    assert bm._pool[100] == top - 5 and bm._pool[100 + top - 5] == 0
+    assert bm._free == 0
+    slots = dict(bm.lru_items())
+    assert slots[100] == top - 5 and slots[100 + top - 5] == 0
     assert not bm.contains(100 + top - 4)
-    assert sorted(bm._pool.values()) == list(range(top + 1))
+    assert sorted(slots.values()) == list(range(top + 1))
     assert bm.prewarm([7]) == 0
 
     def work():
@@ -183,7 +185,7 @@ def _warm_state(managers):
             for structure, _conn in bm.xes.instances():
                 structures.setdefault(id(structure), structure)
     return {
-        "pools": [(list(bm._pool.items()), list(bm._free_slots))
+        "pools": [(list(bm.lru_items()), bm._free)
                   for bm in managers],
         "structures": [
             (s.duplex_state(),
@@ -219,7 +221,7 @@ def test_shared_warm_start_matches_per_system_prewarm(cf, monkeypatch):
     assert len(got["structures"]) == (2 if cf.duplex != "none" else 1)
     assert got == want
     pool, free = got["pools"][0]
-    assert len(pool) == 4_000 and free == []
+    assert len(pool) == 4_000 and free == 0
     assert all(p == (pool, free) for p in got["pools"])
 
 
